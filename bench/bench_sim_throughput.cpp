@@ -1,6 +1,6 @@
 // Experiment X1 (DESIGN.md): engineering throughput of the substrate --
-// events per second on the discrete-event engine, planner generation rate,
-// verifier replay rate, and the threaded runtime. Not a paper claim; it
+// events per second on the discrete-event engine and the macro executor,
+// planner generation rate, and verifier replay rate. Not a paper claim; it
 // bounds the dimensions the other experiments can sweep.
 
 #include <chrono>
@@ -20,7 +20,6 @@
 #include "graph/builders.hpp"
 #include "sim/macro_engine.hpp"
 #include "sim/shard.hpp"
-#include "sim/threaded_runtime.hpp"
 
 namespace hcs {
 namespace {
@@ -30,10 +29,10 @@ namespace {
 // One timed end-to-end engine run per (strategy, dimension): the numbers
 // committed as BENCH_throughput.json and guarded by the CI perf-smoke job
 // (scripts/check_throughput.py). The *_macro rows run the same schedules
-// through sim::MacroEngine (plan + compile + bitplane replay, end to end),
-// which is why their sweep extends past the event engine's practical
-// ceiling. Environment knobs, because google-benchmark's CLI rejects
-// custom flags:
+// through sim::ShardedMacroEngine at one shard (plan + compile + bitplane
+// replay, end to end), which is why their sweep extends past the event
+// engine's practical ceiling. Environment knobs, because
+// google-benchmark's CLI rejects custom flags:
 //   HCS_THROUGHPUT_MIN_DIM / HCS_THROUGHPUT_MAX_DIM  event sweep (4..14)
 //   HCS_THROUGHPUT_MACRO_MIN_DIM / _MACRO_MAX_DIM    macro sweep (4..18)
 //   HCS_THROUGHPUT_SHARDS                   sharded macro shard counts,
@@ -44,9 +43,9 @@ namespace {
 //   HCS_THROUGHPUT_OUT                               JSON output path
 // An empty range (max < min) skips that engine's sweep, so the CI gate can
 // measure one event dimension and one macro dimension in a single process.
-// Sharded rows run the same schedules through sim::ShardedMacroEngine with
-// an explicit shard count and carry it in the label ("clean_sync_macro_s8"),
-// so the regression gate keys them independently of the serial rows.
+// Sharded rows run the same engine with a larger shard count and carry it
+// in the label ("clean_sync_macro_s8"), so the regression gate keys them
+// independently of the single-shard rows.
 
 struct ThroughputRow {
   std::string strategy;
@@ -115,11 +114,15 @@ ThroughputRow time_strategy(const char* strategy, unsigned d) {
 }
 
 /// The macro pipeline end to end: plan generation, program compilation,
-/// and the MacroEngine replay (which takes its bitplane fast path here --
-/// no trace, no faults, fifo/unit defaults).
-ThroughputRow time_macro(const char* label, unsigned d) {
+/// and the sim::ShardedMacroEngine replay (which takes its bitplane fast
+/// path here -- no trace, no faults, fifo/unit defaults) at an explicit
+/// shard count. shards = 1 keeps the bare label ("clean_sync_macro");
+/// other counts carry the *requested* count ("clean_sync_macro_s8"), which
+/// the engine honours on any machine (auto-resolution is what depends on
+/// the host), so committed reference rows stay comparable across machines.
+ThroughputRow time_macro(const char* base, unsigned d, std::uint32_t shards) {
   const graph::Graph g = graph::make_hypercube(d);
-  const bool vis = std::string_view(label) == "clean_visibility_macro";
+  const bool vis = std::string_view(base) == "clean_visibility_macro";
   const auto t0 = std::chrono::steady_clock::now();
   const sim::MacroProgram program = core::compile_macro_program(
       vis ? core::plan_clean_visibility(d) : core::plan_clean_sync(d));
@@ -128,36 +131,14 @@ ThroughputRow time_macro(const char* label, unsigned d) {
   // Mirror the event rows: the schedule legitimately outruns the default
   // livelock window at large d (the fast-path guard compares against it).
   cfg.livelock_window = std::numeric_limits<std::uint64_t>::max();
-  sim::MacroEngine engine(net, cfg);
-  const auto result = engine.run(program);
-  const auto t1 = std::chrono::steady_clock::now();
-  HCS_ASSERT(result.all_terminated && "macro run must reach capture");
-  return {label, d, engine.metrics().events_processed,
-          std::chrono::duration<double>(t1 - t0).count()};
-}
-
-/// The sharded macro executor, end to end like time_macro but through
-/// sim::ShardedMacroEngine with an explicit shard count. The row label
-/// carries the *requested* count ("clean_sync_macro_s8"), which the engine
-/// honours on any machine (auto-resolution is what depends on the host),
-/// so committed reference rows stay comparable across machines.
-ThroughputRow time_macro_sharded(const char* base, unsigned d,
-                                 std::uint32_t shards) {
-  const graph::Graph g = graph::make_hypercube(d);
-  const bool vis = std::string_view(base) == "clean_visibility_macro";
-  const auto t0 = std::chrono::steady_clock::now();
-  const sim::MacroProgram program = core::compile_macro_program(
-      vis ? core::plan_clean_visibility(d) : core::plan_clean_sync(d));
-  sim::Network net(g, 0);
-  sim::RunOptions cfg;
-  cfg.livelock_window = std::numeric_limits<std::uint64_t>::max();
   cfg.shards = shards;
   sim::ShardedMacroEngine engine(net, cfg);
   const auto result = engine.run(program);
   const auto t1 = std::chrono::steady_clock::now();
-  HCS_ASSERT(result.all_terminated && "sharded macro run must reach capture");
-  return {std::string(base) + "_s" + std::to_string(shards), d,
-          engine.metrics().events_processed,
+  HCS_ASSERT(result.all_terminated && "macro run must reach capture");
+  return {shards == 1 ? std::string(base)
+                      : std::string(base) + "_s" + std::to_string(shards),
+          d, engine.metrics().events_processed,
           std::chrono::duration<double>(t1 - t0).count()};
 }
 
@@ -215,7 +196,7 @@ void print_throughput_sweep() {
   // sweep continues where the event engine's practical ceiling ends.
   for (unsigned d = macro_min_dim; d <= macro_max_dim; ++d) {
     for (const char* label : {"clean_sync_macro", "clean_visibility_macro"}) {
-      const auto sample = [&] { return time_macro(label, d); };
+      const auto sample = [&] { return time_macro(label, d, 1); };
       ThroughputRow best = measure(sample);
       for (unsigned rep = 1; rep < reps; ++rep) {
         const ThroughputRow again = measure(sample);
@@ -224,7 +205,7 @@ void print_throughput_sweep() {
       add_row(best);
     }
   }
-  // The sharded executor continues past the serial macro ceiling: the
+  // Larger shard counts continue past the single-shard ceiling: the
   // subcube partition keeps per-shard state cache-resident and spreads
   // wide ticks over the pool, which is what makes H_20 a routine run.
   const unsigned shard_min_dim = env_dim("HCS_THROUGHPUT_SHARD_MIN_DIM", 7);
@@ -232,7 +213,7 @@ void print_throughput_sweep() {
   for (unsigned d = shard_min_dim; d <= shard_max_dim; ++d) {
     for (const char* base : {"clean_sync_macro", "clean_visibility_macro"}) {
       for (const std::uint32_t shards : env_shards()) {
-        const auto sample = [&] { return time_macro_sharded(base, d, shards); };
+        const auto sample = [&] { return time_macro(base, d, shards); };
         ThroughputRow best = measure(sample);
         for (unsigned rep = 1; rep < reps; ++rep) {
           const ThroughputRow again = measure(sample);
@@ -338,21 +319,6 @@ void BM_VerifierThroughput(benchmark::State& state) {
       static_cast<double>(moves), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_VerifierThroughput)->DenseRange(8, 14, 2);
-
-void BM_ThreadedRuntime(benchmark::State& state) {
-  const auto d = static_cast<unsigned>(state.range(0));
-  const graph::Graph g = graph::make_hypercube(d);
-  for (auto _ : state) {
-    sim::Network net(g, 0);
-    sim::ThreadedRuntime::Config cfg;
-    cfg.max_traversal_sleep_us = 0;
-    sim::ThreadedRuntime runtime(net, cfg);
-    const auto report =
-        runtime.run(core::visibility_team_size(d), core::make_visibility_rule(d));
-    benchmark::DoNotOptimize(report.all_clean);
-  }
-}
-BENCHMARK(BM_ThreadedRuntime)->DenseRange(3, 6, 1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hcs

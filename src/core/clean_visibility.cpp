@@ -20,12 +20,7 @@ const sim::WbKey kReleased = sim::wb_key("released");
 const sim::WbKey kClaimed = sim::wb_key("claimed");
 
 /// One atomic evaluation of the Section 4.2 rule for an agent at node x.
-///
-/// Ctx requirements (satisfied by sim::AgentContext and by the LocalView
-/// adapter below): agents_here(), status(graph::Vertex),
-/// wb_get(key)/wb_set(key, v)/wb_add(key, delta) on the local whiteboard.
-template <typename Ctx>
-sim::LocalDecision visibility_decide(unsigned d, Ctx& ctx) {
+sim::LocalDecision visibility_decide(unsigned d, sim::AgentContext& ctx) {
   const auto x = static_cast<NodeId>(ctx.here());
   const BitPos m = msb_position(x);
   const unsigned k = d - m;  // x is of type T(k)
@@ -97,26 +92,6 @@ class VisibilityAgent final : public sim::Agent {
 
  private:
   unsigned d_;
-};
-
-/// Adapter giving sim::LocalView the context shape visibility_decide needs.
-struct LocalViewCtx {
-  const sim::LocalView* view;
-
-  [[nodiscard]] graph::Vertex here() const { return view->here; }
-  [[nodiscard]] std::size_t agents_here() const { return view->agents_here; }
-  [[nodiscard]] sim::NodeStatus status(graph::Vertex v) const {
-    return view->status(v);
-  }
-  [[nodiscard]] std::int64_t wb_get(sim::WbKey key) const {
-    return view->whiteboard->get(key);
-  }
-  void wb_set(sim::WbKey key, std::int64_t v) {
-    view->whiteboard->set(key, v);
-  }
-  std::int64_t wb_add(sim::WbKey key, std::int64_t delta) {
-    return view->whiteboard->add(key, delta);
-  }
 };
 
 }  // namespace
@@ -193,13 +168,6 @@ std::uint64_t spawn_visibility_team(sim::Engine& engine, unsigned d) {
                  engine.network().homebase());
   }
   return team;
-}
-
-sim::LocalRule make_visibility_rule(unsigned d) {
-  return [d](const sim::LocalView& view) -> sim::LocalDecision {
-    LocalViewCtx ctx{&view};
-    return visibility_decide(d, ctx);
-  };
 }
 
 }  // namespace hcs::core

@@ -11,12 +11,12 @@
 // Costs (Theorems 5, 7, 8): n/2 agents, log n ideal time, (n/4)(log n + 1)
 // moves.
 //
-// Three executable forms share one decision function:
+// Two executable forms:
 //   1. plan_clean_visibility(d): wave-per-round SearchPlan (d rounds);
-//   2. spawn_visibility_team(engine, d): agents on the asynchronous event
-//      engine (requires Engine::Config::visibility = true and the
-//      network's default kAtomicArrival move semantics);
-//   3. make_visibility_rule(d): the same rule for the std::thread runtime.
+//   2. spawn_visibility_team(engine, d): agents evaluating the local rule
+//      on the asynchronous event engine (requires
+//      Engine::Config::visibility = true and the network's default
+//      kAtomicArrival move semantics).
 //
 // Coordination state per node: the "claimed" whiteboard register (which
 // agent takes which child -- "which agent go to which node is determined by
@@ -30,7 +30,6 @@
 #include "core/formulas.hpp"
 #include "core/plan.hpp"
 #include "sim/engine.hpp"
-#include "sim/threaded_runtime.hpp"
 #include "util/assert.hpp"
 #include "util/bitops.hpp"
 
@@ -66,8 +65,5 @@ struct VisibilityStats {
 /// Spawns the n/2 identical agents at the homebase. The engine must have
 /// visibility enabled; the network must be H_d with homebase 0.
 std::uint64_t spawn_visibility_team(sim::Engine& engine, unsigned d);
-
-/// The same local rule for the threaded runtime.
-[[nodiscard]] sim::LocalRule make_visibility_rule(unsigned d);
 
 }  // namespace hcs::core

@@ -12,7 +12,6 @@
 #include "core/strategy_registry.hpp"
 #include "fault/fault_io.hpp"
 #include "obs/obs.hpp"
-#include "sim/macro_engine.hpp"
 #include "sim/shard.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
@@ -204,7 +203,7 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
   // violation.
   std::optional<sim::MacroProgram> program;
   if (engine_config.engine != sim::EngineKind::kEvent &&
-      sim::MacroEngine::eligible(engine_config) && !config_.setup) {
+      sim::ShardedMacroEngine::eligible(engine_config) && !config_.setup) {
     program = strategy.macro_program(d);
   }
   HCS_EXPECTS((program.has_value() ||
@@ -255,10 +254,9 @@ core::SimOutcome Session::run_impl(std::string_view strategy_name,
   bool net_all_clean = false;
   bool net_region_connected = false;
   if (program.has_value()) {
-    // The sharded wrapper resolves options.shards against the topology;
-    // shards == 1 (the default) delegates every call to the serial
-    // MacroEngine, and any value yields byte-identical results (the
-    // shard differential suite pins this).
+    // The macro executor resolves options.shards against the topology;
+    // any value yields byte-identical results (the shard differential
+    // suite pins this).
     sim::ShardedMacroEngine engine(net, engine_config);
     run = engine.run(*program);
     metrics = engine.metrics();

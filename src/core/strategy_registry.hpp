@@ -91,11 +91,12 @@ class Strategy {
   /// same team, traversals and ideal-time schedule as spawn_team's
   /// protocol run, shorn of the coordination machinery (whiteboard
   /// handshakes, synchronizer trips) that implements it distributedly.
-  /// Executing the program through sim::MacroEngine is bit-identical to
-  /// executing it through spawn_macro_team on an event engine (the macro
-  /// differential suite pins that); it is *not* step-identical to the
-  /// protocol run. nullopt (the default) means the strategy is event-only;
-  /// Session's EngineKind::kAuto then falls back to the event engine.
+  /// Executing the program through sim::ShardedMacroEngine is
+  /// bit-identical to executing it through spawn_macro_team on an event
+  /// engine (the macro differential suite pins that); it is *not*
+  /// step-identical to the protocol run. nullopt (the default) means the
+  /// strategy is event-only; Session's EngineKind::kAuto then falls back
+  /// to the event engine.
   [[nodiscard]] virtual std::optional<sim::MacroProgram> macro_program(
       unsigned /*d*/) const {
     return std::nullopt;

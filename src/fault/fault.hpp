@@ -14,9 +14,7 @@
 //    ever drawn, the engine's RNG stream is untouched, and runs are
 //    byte-identical to pre-fault behaviour;
 //  * a given (seed, spec) replays the same schedule in the discrete-event
-//    Engine regardless of sweep thread count, and the real-thread runtime
-//    draws the same per-(entity, index) decisions (its interleavings stay
-//    nondeterministic, the injected faults do not);
+//    Engine regardless of sweep thread count;
 //  * decisions are stateless hashes, so injection sites need no shared
 //    mutable state and no locking.
 //
@@ -73,8 +71,7 @@ struct FaultSpec {
   /// Probability that a committed write is replaced with a garbage value.
   double wb_corrupt_rate = 0.0;
   /// Probability that a wake signal delivered to a node with waiters is
-  /// dropped (event engine only; the threaded runtime's condition variable
-  /// broadcast cannot lose a subset of waiters).
+  /// dropped.
   double wake_drop_rate = 0.0;
   /// Probability that one traversal is stretched by stall_factor.
   double link_stall_rate = 0.0;
@@ -160,7 +157,7 @@ class FaultSchedule {
   /// the spec's rates with the recorded list (rates zeroed, seed kept)
   /// reproduces the identical schedule through `listed()`, which is the
   /// concretization step minimization starts from. Single-threaded use
-  /// only (the event engine); the threaded runtime must not set it.
+  /// only: one engine per schedule.
   void set_fired_sink(std::vector<FaultEvent>* sink) { fired_ = sink; }
 
  private:

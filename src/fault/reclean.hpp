@@ -23,9 +23,9 @@
 // for this guard-and-hold shape; the planner trades extra standing agents
 // for never exposing the surviving clean region.
 //
-// The planner is pure (graph + dirty mask in, walks out); the runtimes
-// execute the walks (sim/recovery.hpp for the event engine, the threaded
-// runtime synchronously) and re-plan if repair agents themselves crash.
+// The planner is pure (graph + dirty mask in, walks out); the event
+// engine executes the walks (sim/recovery.hpp) and re-plans if repair
+// agents themselves crash.
 
 #pragma once
 

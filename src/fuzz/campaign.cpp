@@ -186,8 +186,8 @@ CellSpec campaign_cell(const CampaignAxes& axes, std::uint64_t campaign_seed,
     if (engine_draw == 1) spec.engine = sim::EngineKind::kAuto;
   }
 
-  // Shard axis: every macro cell also draws a subcube shard count, arming
-  // the sharded replay leg of the engine oracle. Drawn unconditionally --
+  // Shard axis: every macro cell also draws the subcube shard count the
+  // engine oracle's macro run uses. Drawn unconditionally --
   // same stream-alignment rule as the engine draw above.
   const std::uint64_t shard_draw = sm.next() % 4;
   if (axes.shard_oracle && spec.engine != sim::EngineKind::kEvent) {

@@ -43,10 +43,9 @@ struct CampaignAxes {
   /// macro-eligible draw. Off pins every cell to kEvent.
   bool engine_oracle = true;
   /// Draw the shard axis: cells that requested the macro executor also
-  /// draw a subcube shard count from {1, 2, 4, 8}, arming the sharded
-  /// replay leg of the engine oracle (sim::ShardedMacroEngine vs the
-  /// serial executors) on every macro-eligible draw. Off pins every cell
-  /// to the serial count of 1.
+  /// draw a subcube shard count from {1, 2, 4, 8}, the count the engine
+  /// oracle's macro run (sim::ShardedMacroEngine vs the event oracle)
+  /// uses. Off pins every cell to one shard.
   bool shard_oracle = true;
   /// Contract every generated cell is judged against. kAuto (the default)
   /// resolves per workload; pinning e.g. kCorrect while fault rates are

@@ -12,7 +12,6 @@
 #include "graph/graph.hpp"
 #include "sim/engine.hpp"
 #include "sim/invariants.hpp"
-#include "sim/macro_engine.hpp"
 #include "sim/network.hpp"
 #include "sim/shard.hpp"
 #include "util/assert.hpp"
@@ -306,11 +305,14 @@ std::string compare_runs(const Executed& a, const Executed& b,
 }
 
 /// The engine oracle (the fifth differential): the strategy's compiled
-/// macro program executed by sim::Engine driving ScheduleAgents versus
-/// sim::MacroEngine, which must agree byte-for-byte on metrics, run
-/// result, and trace. Returns the first divergence, or empty when the
-/// executors agree or the cell is not macro-eligible (non-fifo wake
-/// policy, non-unit delay, or a strategy without a compiled program).
+/// macro program executed by sim::Engine driving ScheduleAgents versus one
+/// untraced run of sim::ShardedMacroEngine at the cell's shard count, so
+/// the bitplane fast path -- single-shard fused loop and sharded phases
+/// alike -- replays every eligible cell. The two must agree on metrics,
+/// run result and safety verdicts. Returns the first divergence, or empty
+/// when the executors agree or the cell is not macro-eligible (non-fifo
+/// wake policy, non-unit delay, or a strategy without a compiled
+/// program).
 std::string macro_engine_divergence(const CellSpec& spec,
                                     const core::Strategy& strategy) {
   sim::RunOptions cfg;
@@ -323,7 +325,8 @@ std::string macro_engine_divergence(const CellSpec& spec,
   cfg.livelock_window = spec.livelock_window;
   cfg.faults = spec.faults;
   cfg.recovery = spec.recovery;
-  if (!sim::MacroEngine::eligible(cfg)) return {};
+  cfg.shards = spec.shards;
+  if (!sim::ShardedMacroEngine::eligible(cfg)) return {};
   const std::optional<sim::MacroProgram> program =
       strategy.macro_program(spec.dimension);
   if (!program.has_value()) return {};
@@ -333,64 +336,32 @@ std::string macro_engine_divergence(const CellSpec& spec,
   {
     sim::Network net(g, /*homebase=*/0);
     net.set_move_semantics(spec.semantics);
-    net.trace().enable(true);
     sim::Engine engine(net, cfg);
     sim::spawn_macro_team(engine, *program);
     event.run = engine.run();
     event.metrics = net.metrics();
     event.all_clean = net.all_clean();
     event.clean_region_connected = net.clean_region_connected();
-    event.trace = std::move(net.trace());
   }
   Executed macro;
   {
     sim::Network net(g, /*homebase=*/0);
     net.set_move_semantics(spec.semantics);
-    net.trace().enable(true);
-    sim::MacroEngine engine(net, cfg);
+    sim::ShardedMacroEngine engine(net, cfg);
     macro.run = engine.run(*program);
     macro.metrics = engine.metrics();
     macro.all_clean = engine.all_clean();
     macro.clean_region_connected = engine.clean_region_connected();
-    macro.trace = std::move(net.trace());
   }
 
-  const std::string divergence = compare_runs(event, macro);
-  if (!divergence.empty()) return divergence;
-  if (event.all_clean != macro.all_clean) return "all_clean differs";
+  const std::string prefix =
+      "macro(shards=" + std::to_string(spec.shards) + "): ";
+  const std::string divergence =
+      compare_runs(event, macro, /*with_trace=*/false);
+  if (!divergence.empty()) return prefix + divergence;
+  if (event.all_clean != macro.all_clean) return prefix + "all_clean differs";
   if (event.clean_region_connected != macro.clean_region_connected) {
-    return "clean_region_connected differs";
-  }
-
-  // The sharded leg: replay the same program on the subcube-partitioned
-  // executor. Untraced -- tracing forces the exact serial path, which would
-  // make this leg a no-op -- so the comparison covers metrics, run result
-  // and the safety verdicts, which the engine contract pins to be identical
-  // between the exact and fast modes.
-  if (spec.shards != 1) {
-    sim::RunOptions scfg = cfg;
-    scfg.shards = spec.shards;
-    Executed sharded;
-    {
-      sim::Network net(g, /*homebase=*/0);
-      net.set_move_semantics(spec.semantics);
-      sim::ShardedMacroEngine engine(net, scfg);
-      sharded.run = engine.run(*program);
-      sharded.metrics = engine.metrics();
-      sharded.all_clean = engine.all_clean();
-      sharded.clean_region_connected = engine.clean_region_connected();
-    }
-    const std::string prefix =
-        "sharded(" + std::to_string(spec.shards) + "): ";
-    const std::string sharded_divergence =
-        compare_runs(macro, sharded, /*with_trace=*/false);
-    if (!sharded_divergence.empty()) return prefix + sharded_divergence;
-    if (macro.all_clean != sharded.all_clean) {
-      return prefix + "all_clean differs";
-    }
-    if (macro.clean_region_connected != sharded.clean_region_connected) {
-      return prefix + "clean_region_connected differs";
-    }
+    return prefix + "clean_region_connected differs";
   }
   return {};
 }

@@ -18,9 +18,9 @@
 //    must produce a byte-identical trace and metrics -- the same pinning
 //    the PR-5 differential suite does, applied to arbitrary fuzzed cells;
 //  * optionally the engine oracle (spec.engine != kEvent): the strategy's
-//    compiled macro program runs on both executors -- sim::Engine driving
-//    ScheduleAgents and sim::MacroEngine -- and the traces, metrics, and
-//    run results must again be byte-identical.
+//    compiled macro program runs on sim::Engine driving ScheduleAgents
+//    and, untraced, on sim::ShardedMacroEngine at the cell's shard count
+//    -- and the metrics, run results and safety verdicts must agree.
 //
 // Failures come back as structured (kind, detail) records, so the
 // campaign layer can persist them and the delta-debugger can test "does
@@ -96,12 +96,11 @@ struct CellSpec {
   /// is omitted from the canonical JSON form at its kEvent default, so
   /// pre-engine-axis corpus hashes are unchanged.
   sim::EngineKind engine = sim::EngineKind::kEvent;
-  /// Subcube shard count for the sharded macro executor (sim/shard.hpp).
-  /// At its default 1 the sharded leg is skipped; otherwise the engine
-  /// oracle additionally replays the compiled program on
-  /// sim::ShardedMacroEngine (untraced -- tracing forces exact mode) and
-  /// compares metrics, run result and safety verdicts against the serial
-  /// executors. Omitted from the canonical JSON at the default, like
+  /// Subcube shard count the engine oracle's macro run uses
+  /// (sim/shard.hpp): the compiled program replays untraced on
+  /// sim::ShardedMacroEngine at this count -- 1 included -- and its
+  /// metrics, run result and safety verdicts are compared against the
+  /// event oracle. Omitted from the canonical JSON at the default, like
   /// `engine`, so pre-shard-axis corpus hashes are unchanged.
   std::uint32_t shards = 1;
 

@@ -11,8 +11,8 @@
 //
 //   hcs::graph      -- adjacency-list graphs, builders, traversal, DOT
 //   hcs::hypercube  -- H_d structure, broadcast trees, routing, symmetry
-//   hcs::sim        -- the event engine, network state, traces, RunOptions,
-//                      the real-thread runtime
+//   hcs::sim        -- the event engine, the macro executor, network
+//                      state, traces, RunOptions
 //   hcs::core       -- the four paper strategies + baselines, the strategy
 //                      registry, closed-form cost formulas, Session
 //   hcs::run        -- parameter sweeps across a worker pool + CSV/JSON IO
@@ -69,5 +69,4 @@
 #include "sim/network.hpp"
 #include "sim/options.hpp"
 #include "sim/shard.hpp"
-#include "sim/threaded_runtime.hpp"
 #include "sim/trace.hpp"

@@ -146,7 +146,6 @@ void Server::serve_connection(int fd) {
 
 void Server::close_listener() {
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -158,8 +157,11 @@ void Server::stop() {
     return;
   }
 
-  close_listener();  // unblocks accept()
+  // Shutting the listener down unblocks accept(); the acceptor still reads
+  // listen_fd_, so the fd is closed and reset only once it has joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
+  close_listener();
 
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);

@@ -1,6 +1,6 @@
 // Packed 64-bit bitplanes over hypercube node sets.
 //
-// The macro-step engine (sim/macro_engine.hpp) keeps its node state --
+// The macro executor (sim/shard.hpp) keeps its node state --
 // guarded / contaminated / visited -- as one bit per node in packed
 // uint64_t words instead of a byte-per-node status array: at d = 18 one
 // plane is 32 KiB (L1-resident) against a 256 KiB status vector, and whole

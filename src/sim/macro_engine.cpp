@@ -1,13 +1,8 @@
 #include "sim/macro_engine.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <memory>
-#include <utility>
 
-#include "fault/reclean.hpp"
 #include "sim/agent.hpp"
-#include "util/assert.hpp"
 
 namespace hcs::sim {
 
@@ -15,10 +10,10 @@ namespace {
 
 const std::string kDefaultRole = "agent";
 
-/// The event-engine half of the macro differential: a time-driven agent
-/// that replays its program slice. No whiteboard access, no waits, no
-/// visibility -- its engine interactions are exactly the ones MacroEngine
-/// reproduces natively (idle timers, moves, termination).
+/// The event-engine form of a macro program: a time-driven agent that
+/// replays its program slice. No whiteboard access, no waits, no
+/// visibility -- its engine interactions are exactly the ones the bitplane
+/// fast path reproduces natively (idle timers, moves, termination).
 class ScheduleAgent final : public Agent {
  public:
   ScheduleAgent(const MacroProgram& program, std::size_t agent)
@@ -58,623 +53,6 @@ std::uint64_t spawn_macro_team(Engine& engine, const MacroProgram& program) {
                  program.homebase);
   }
   return program.num_agents();
-}
-
-// ---------------------------------------------------------- MacroEngine
-
-MacroEngine::MacroEngine(Network& net, RunOptions cfg)
-    : net_(&net), cfg_(std::move(cfg)), fault_sched_(cfg_.faults) {
-  HCS_EXPECTS(eligible(cfg_) &&
-              "macro execution requires the FIFO wake policy and the unit "
-              "delay model");
-}
-
-const Metrics& MacroEngine::metrics() const {
-  return fast_completed_ ? fast_metrics_ : net_->metrics();
-}
-
-bool MacroEngine::all_clean() const {
-  return fast_completed_ ? contaminated_.none() : net_->all_clean();
-}
-
-bool MacroEngine::clean_region_connected() const {
-  return fast_completed_ ? fast_region_connected()
-                         : net_->clean_region_connected();
-}
-
-MacroEngine::RunResult MacroEngine::run(const MacroProgram& program) {
-  obs::ScopedSink obs_sink(cfg_.obs);
-  obs::Span run_span(cfg_.obs, "macro.run");
-
-  // The fast path covers the default measurement configuration; anything
-  // that must observe intermediate state (tracing), perturb the schedule
-  // (faults) or change the hand-over (the vacate ablation) runs exact.
-  const bool fast_ok = !net_->trace().enabled() && !fault_sched_.active() &&
-                       net_->move_semantics() == MoveSemantics::kAtomicArrival;
-  RunResult result;
-  if (fast_ok && run_fast(program, &result)) {
-    if (cfg_.obs != nullptr) {
-      cfg_.obs->counter_add("macro.events", fast_metrics_.events_processed);
-      cfg_.obs->counter_add("macro.steps", fast_metrics_.agent_steps);
-      cfg_.obs->counter_add("macro.fast_runs");
-    }
-    return result;
-  }
-  result = run_exact(program);
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->counter_add("macro.events", net_->metrics().events_processed);
-    cfg_.obs->counter_add("macro.steps", steps_taken_);
-    cfg_.obs->counter_add("macro.exact_runs");
-  }
-  return result;
-}
-
-// ------------------------------------------------------------ exact mode
-//
-// A stripped re-implementation of Engine's dispatch loop, specialized to
-// the two POD agent kinds a macro run can contain (schedule walkers and
-// recovery repair walkers). Every Network hook, fault coin, event (time,
-// seq) pair and step-counter update happens in exactly the order the event
-// engine produces with ScheduleAgents -- the macro differential suite pins
-// the equivalence byte-for-byte. Whiteboards and node-level wake lists
-// have no counterpart here because neither agent kind ever writes or
-// waits; the corresponding engine machinery (wb hooks, wake drops,
-// journal restore) is provably inert for macro runs.
-
-MacroEngine::RunResult MacroEngine::run_exact(const MacroProgram& program) {
-  prog_ = &program;
-  const std::size_t m = program.num_agents();
-  agents_.resize(m);
-  state_.assign(m, AgentState::kRunnable);
-  runnable_.reserve(std::max<std::size_t>(64, 2 * m));
-  events_.reserve(std::max<std::size_t>(64, 2 * m));
-  for (std::size_t i = 0; i < m; ++i) {
-    Rec& rec = agents_[i];
-    rec.cur = program.agent_offsets[i];
-    rec.end = program.agent_offsets[i + 1];
-    rec.at = program.homebase;
-    rec.role_key = wb_key(program.role(i));
-    runnable_.push_back(static_cast<AgentId>(i));
-    net_->on_agent_placed(static_cast<AgentId>(i), program.homebase, now_);
-  }
-
-  run_to_quiescence();
-  if (fault_sched_.active() && cfg_.recovery.enabled) run_recovery();
-  net_->metrics().agent_steps += steps_taken_;
-
-  net_->finalize_metrics();
-
-  RunResult result;
-  result.abort_reason = abort_reason_;
-  result.end_time = now_;
-  result.capture_time = capture_time_;
-  for (const AgentState state : state_) {
-    switch (state) {
-      case AgentState::kDone:
-        ++result.terminated;
-        break;
-      case AgentState::kCrashed:
-        ++result.crashed;
-        break;
-      default:
-        ++result.waiting;
-        break;
-    }
-  }
-  if (fault_sched_.active()) degradation_.agents_stranded = result.waiting;
-  result.degradation = degradation_;
-  result.all_terminated = result.waiting == 0 && result.crashed == 0 &&
-                          abort_reason_ == AbortReason::kNone;
-  return result;
-}
-
-void MacroEngine::run_to_quiescence() {
-  while (abort_reason_ == AbortReason::kNone) {
-    if (runnable_.size() - runnable_head_ != 0) {
-      if (steps_taken_ >= cfg_.max_agent_steps) {
-        abort_reason_ = AbortReason::kStepCap;
-        break;
-      }
-      if (steps_taken_ - last_progress_step_ > cfg_.livelock_window) {
-        abort_reason_ = AbortReason::kLivelock;
-        break;
-      }
-      // FIFO pop from a moving head, compacted lazily (same amortization
-      // as Engine::pick_runnable; kRandom is excluded by eligibility).
-      const AgentId a = runnable_[runnable_head_++];
-      if (runnable_head_ >= 64 && runnable_head_ * 2 >= runnable_.size()) {
-        runnable_.erase(
-            runnable_.begin(),
-            runnable_.begin() + static_cast<std::ptrdiff_t>(runnable_head_));
-        runnable_head_ = 0;
-      }
-      step_agent(a);
-      continue;
-    }
-    if (events_.empty()) break;
-    std::pop_heap(events_.begin(), events_.end(), std::greater<Event>{});
-    const Event e = events_.back();
-    events_.pop_back();
-    HCS_ASSERT(e.time >= now_);
-    now_ = e.time;
-    ++net_->metrics().events_processed;
-    handle_event(e);
-  }
-}
-
-void MacroEngine::step_agent(AgentId a) {
-  HCS_ASSERT(state_[a] == AgentState::kRunnable);
-  ++steps_taken_;
-  Rec& rec = agents_[a];
-
-  if (rec.wave < 0) {
-    // Schedule walker: idle until the next departure tick, move, or park.
-    if (rec.cur == rec.end) {
-      state_[a] = AgentState::kDone;
-      net_->on_agent_terminated(a, rec.at, now_);
-      last_progress_step_ = steps_taken_;
-      return;
-    }
-    const MacroProgram::Step& s = prog_->steps[rec.cur];
-    const auto dep = static_cast<SimTime>(s.time);
-    if (now_ < dep) {
-      state_[a] = AgentState::kSleeping;
-      schedule(a, now_ + (dep - now_));
-      return;
-    }
-    HCS_ASSERT(rec.at == s.from);
-    ++rec.cur;
-    do_move(a, s.to);
-    return;
-  }
-
-  // Repair walker (sim/recovery.hpp semantics): wait for the wave turn,
-  // walk the reclean path, then release the next walk and stand guard.
-  Wave& wave = waves_[static_cast<std::size_t>(rec.wave)];
-  if (wave.turn < rec.wave_index) {
-    state_[a] = AgentState::kWaitingGlobal;
-    waiting_global_.push_back(a);
-    return;
-  }
-  if (rec.path_pos + 1 < rec.path.size()) {
-    ++rec.path_pos;
-    do_move(a, rec.path[rec.path_pos]);
-    return;
-  }
-  if (wave.turn == rec.wave_index) {
-    ++wave.turn;
-    wake_global();
-  }
-  state_[a] = AgentState::kDone;
-  net_->on_agent_terminated(a, rec.at, now_);
-  last_progress_step_ = steps_taken_;
-}
-
-void MacroEngine::do_move(AgentId a, graph::Vertex to) {
-  Rec& rec = agents_[a];
-  const graph::Vertex from = rec.at;
-  // Same exemption rule as Engine::spawn: the intruder is part of the
-  // threat model and never draws fault coins (no current program spawns
-  // one, but the coin streams must agree if one ever does).
-  static const WbKey kIntruderKey = wb_key("intruder");
-  const bool faultable = fault_sched_.active() && rec.role_key != kIntruderKey;
-  const std::uint64_t move_index = rec.moves++;
-  if (faultable && fault_sched_.crash_at_node(a, move_index)) {
-    ++degradation_.crashes;
-    crash_agent(a, /*counted_at=*/true, "crash-stop at node");
-    return;
-  }
-  state_[a] = AgentState::kInTransit;
-  rec.moving_to = to;
-  if (faultable && fault_sched_.crash_in_transit(a, move_index)) {
-    ++degradation_.crashes;
-    ++degradation_.crashes_in_transit;
-    rec.crash_on_arrival = true;
-  }
-  net_->on_agent_departed(a, from, to, now_, rec.role_key);
-  SimTime dt = 1.0;  // eligibility pins the unit delay model
-  if (faultable && fault_sched_.stall_link(a, move_index)) {
-    ++degradation_.links_stalled;
-    dt *= fault_sched_.stall_factor();
-    net_->trace().record({now_, TraceKind::kFault, a, from, to, "link stalled"});
-  }
-  schedule(a, now_ + dt);
-  last_progress_step_ = steps_taken_;
-}
-
-void MacroEngine::handle_event(const Event& e) {
-  Rec& rec = agents_[e.agent];
-  switch (state_[e.agent]) {
-    case AgentState::kInTransit: {
-      if (rec.crash_on_arrival) {
-        rec.crash_on_arrival = false;
-        crash_agent(e.agent,
-                    net_->move_semantics() == MoveSemantics::kAtomicArrival,
-                    "crash-stop in transit");
-        break;
-      }
-      const graph::Vertex from = rec.at;
-      rec.at = rec.moving_to;
-      state_[e.agent] = AgentState::kRunnable;
-      runnable_.push_back(e.agent);
-      net_->on_agent_arrived(e.agent, rec.at, from, now_);
-      if (!captured_ && net_->all_clean()) {
-        captured_ = true;
-        capture_time_ = now_;
-        net_->trace().record_lazy(
-            now_, TraceKind::kCustom, e.agent, rec.at, rec.at,
-            [] { return std::string("network clean: intruder captured"); });
-      }
-      break;
-    }
-    case AgentState::kSleeping:
-      state_[e.agent] = AgentState::kRunnable;
-      runnable_.push_back(e.agent);
-      break;
-    default:
-      // Spurious event for an agent whose state already changed; cannot
-      // occur for macro agent kinds, but mirror the engine's tolerance.
-      break;
-  }
-}
-
-void MacroEngine::crash_agent(AgentId a, bool counted_at, const char* what) {
-  state_[a] = AgentState::kCrashed;
-  const std::uint64_t before = net_->metrics().recontamination_events;
-  net_->on_agent_crashed(a, agents_[a].at, now_, counted_at, what);
-  degradation_.recontaminations_attributed +=
-      net_->metrics().recontamination_events - before;
-  last_progress_step_ = steps_taken_;
-  // Wave observers, in registration order (sim/recovery.hpp skip-on-crash:
-  // a dead walker's turn passes to the next walk immediately).
-  bool wake = false;
-  for (Wave& wave : waves_) {
-    bool hit = false;
-    for (std::size_t i = 0; i < wave.members.size(); ++i) {
-      if (wave.members[i] == a && i >= wave.turn) {
-        wave.turn = i + 1;
-        hit = true;
-        break;
-      }
-    }
-    wake = hit || wake;
-  }
-  if (wake) wake_global();
-}
-
-void MacroEngine::wake_global() {
-  wake_scratch_.clear();
-  wake_scratch_.swap(waiting_global_);
-  for (const AgentId a : wake_scratch_) {
-    if (state_[a] != AgentState::kWaitingGlobal) continue;
-    state_[a] = AgentState::kRunnable;
-    runnable_.push_back(a);
-  }
-}
-
-void MacroEngine::schedule(AgentId a, SimTime at) {
-  events_.push_back(Event{at, next_seq_++, a});
-  std::push_heap(events_.begin(), events_.end(), std::greater<Event>{});
-}
-
-std::uint64_t MacroEngine::spawn_wave(const fault::RecleanPlan& plan) {
-  if (plan.empty()) return 0;
-  const graph::Vertex home = net_->homebase();
-  const auto wave_id = static_cast<std::int32_t>(waves_.size());
-  waves_.emplace_back();
-  Wave& wave = waves_.back();
-  static const WbKey kRepairKey = wb_key("repair");
-  for (std::size_t i = 0; i < plan.walks.size(); ++i) {
-    HCS_EXPECTS(plan.walks[i].path.front() == home);
-    const auto id = static_cast<AgentId>(agents_.size());
-    Rec rec;
-    rec.at = home;
-    rec.role_key = kRepairKey;
-    rec.wave = wave_id;
-    rec.wave_index = static_cast<std::uint32_t>(i);
-    rec.path = plan.walks[i].path;
-    agents_.push_back(std::move(rec));
-    state_.push_back(AgentState::kRunnable);
-    runnable_.push_back(id);
-    wave.members.push_back(id);
-    net_->on_agent_placed(id, home, now_);
-  }
-  return plan.walks.size();
-}
-
-void MacroEngine::run_recovery() {
-  // Mirror of Engine::run_recovery. The whiteboard-restore and
-  // wake-redelivery phases have no counterpart: macro agents never write a
-  // whiteboard (so the journal stays empty) and never wait at a node (so
-  // no meaningful wake exists to drop) -- both loops would be no-ops.
-  obs::Span recovery_span(cfg_.obs, "macro.recovery");
-  double timeout = cfg_.recovery.detect_timeout;
-  while (abort_reason_ == AbortReason::kNone && !net_->all_clean()) {
-    if (degradation_.recovery_rounds >= cfg_.recovery.max_rounds) {
-      abort_reason_ = AbortReason::kFaultUnrecoverable;
-      break;
-    }
-    ++degradation_.recovery_rounds;
-    const SimTime round_start = now_;
-    const std::uint64_t moves_before = net_->metrics().total_moves;
-
-    now_ += timeout;
-    if (cfg_.obs != nullptr) {
-      cfg_.obs->hist_record("recovery.detect_latency", timeout);
-    }
-    timeout *= cfg_.recovery.backoff;
-    degradation_.crashes_detected = net_->metrics().agents_crashed;
-
-    std::vector<bool> contaminated(net_->num_nodes());
-    for (graph::Vertex v = 0; v < net_->num_nodes(); ++v) {
-      contaminated[v] = net_->status(v) == NodeStatus::kContaminated;
-    }
-    const fault::RecleanPlan plan =
-        fault::plan_reclean(net_->graph(), net_->homebase(), contaminated);
-    const std::uint64_t wave = spawn_wave(plan);
-    degradation_.repair_agents += wave;
-    if (cfg_.obs != nullptr) {
-      cfg_.obs->hist_record("recovery.wave_size", static_cast<double>(wave));
-      cfg_.obs->counter_add("recovery.waves");
-    }
-
-    run_to_quiescence();
-
-    degradation_.recovery_moves += net_->metrics().total_moves - moves_before;
-    degradation_.recovery_time += now_ - round_start;
-    if (cfg_.obs != nullptr) {
-      cfg_.obs->hist_record("recovery.round_sim_time", now_ - round_start);
-    }
-  }
-  // No whiteboard faults can exist in a macro run, so recovered persistent
-  // faults are exactly the detected crashes once the network is clean.
-  degradation_.faults_recovered = 0;
-  if (net_->all_clean()) {
-    degradation_.faults_recovered += degradation_.crashes_detected;
-  }
-}
-
-// ------------------------------------------------------------- fast mode
-//
-// Bitplane execution. The tick buckets replicate the event heap's
-// (time, seq) order exactly: appends happen in processing order, so each
-// bucket is seq-sorted by construction, and each popped entry is followed
-// immediately by its agent's next step -- the same interleaving the exact
-// loop produces. Node state is three packed planes plus a per-node guard
-// count; the per-move hot path is a handful of L1-resident bit ops.
-
-bool MacroEngine::run_fast(const MacroProgram& prog, RunResult* result) {
-  const std::size_t n = net_->num_nodes();
-  const std::size_t m = prog.num_agents();
-  const graph::Graph& g = net_->graph();
-  const unsigned hc_dim = g.hypercube_dim();
-
-  // Abort-guard interactions (step caps, livelock windows) cannot be
-  // reproduced after the fact; leave any run that could plausibly trip
-  // them to the exact loop, which aborts identically to the event engine.
-  const std::uint64_t step_bound = 2 * prog.steps.size() + 2 * m;
-  if (step_bound >= cfg_.max_agent_steps || m >= cfg_.livelock_window) {
-    return false;
-  }
-
-  struct FRec {
-    std::uint32_t cur;
-    std::uint32_t end;
-    graph::Vertex at;
-    graph::Vertex moving_to = 0;
-    AgentState state = AgentState::kRunnable;
-  };
-  std::vector<FRec> recs(m);
-
-  guarded_ = Bitplane(n);
-  contaminated_ = Bitplane(n, true);
-  visited_ = Bitplane(n);
-  fast_metrics_ = Metrics{};
-  std::vector<std::uint32_t> counts(n, 0);
-  std::uint64_t contam_count = n;
-
-  const graph::Vertex home = prog.homebase;
-  for (std::size_t i = 0; i < m; ++i) {
-    recs[i] = FRec{prog.agent_offsets[i], prog.agent_offsets[i + 1], home};
-  }
-  counts[home] = static_cast<std::uint32_t>(m);
-  if (m > 0) {
-    visited_.set(home);
-    guarded_.set(home);
-    contaminated_.clear(home);
-    --contam_count;
-  }
-
-  std::vector<std::vector<AgentId>> buckets(prog.horizon + 2);
-  std::uint64_t events = 0;
-  std::uint64_t steps = 0;
-  SimTime end_time = kTimeZero;
-  bool captured = false;
-  SimTime capture_time = -1.0;
-  bool bailed = false;
-
-  // One step of agent a at tick t: park, sleep until the next departure,
-  // or start the next traversal (arrival lands in bucket t + 1).
-  const auto step_fast = [&](AgentId a, std::uint32_t t) {
-    ++steps;
-    FRec& r = recs[a];
-    if (r.cur == r.end) {
-      r.state = AgentState::kDone;
-      return;
-    }
-    const MacroProgram::Step& s = prog.steps[r.cur];
-    if (t < s.time) {
-      r.state = AgentState::kSleeping;
-      buckets[s.time].push_back(a);
-      return;
-    }
-    HCS_ASSERT(r.at == s.from);
-    ++r.cur;
-    r.state = AgentState::kInTransit;
-    r.moving_to = s.to;
-    buckets[t + 1].push_back(a);
-  };
-
-  // Arrival of agent a at tick t: guard the destination, release the
-  // origin, and bail the moment a vacated node would be exposed to a
-  // contaminated neighbour (the exact loop reproduces the flood).
-  const auto arrive = [&](AgentId a, std::uint32_t t,
-                          const Bitplane* frontier) -> bool {
-    FRec& r = recs[a];
-    const graph::Vertex from = r.at;
-    const graph::Vertex to = r.moving_to;
-    r.at = to;
-    r.state = AgentState::kRunnable;
-    ++counts[to];
-    visited_.set(to);
-    if (contaminated_.test(to)) {
-      contaminated_.clear(to);
-      --contam_count;
-    }
-    guarded_.set(to);
-    if (from != to) {
-      HCS_ASSERT(counts[from] > 0);
-      --counts[from];
-      if (counts[from] == 0) {
-        guarded_.clear(from);
-        // Exposure check. The word-parallel frontier (has-a-contaminated-
-        // neighbour plane, computed once per large bucket) certifies most
-        // releases wholesale -- contamination only shrinks inside a
-        // fault-free tick, so a node with no contaminated neighbour at
-        // tick start has none now; only frontier nodes need the exact
-        // per-move probe.
-        bool check = true;
-        if (frontier != nullptr && !frontier->test(from)) check = false;
-        if (check) {
-          const bool exposed =
-              hc_dim != 0
-                  ? [&] {
-                      for (unsigned j = 0; j < hc_dim; ++j) {
-                        if (contaminated_.test(from ^ (graph::Vertex{1} << j)))
-                          return true;
-                      }
-                      return false;
-                    }()
-                  : graph::any_neighbor(g, from, [&](graph::Vertex w) {
-                      return contaminated_.test(w);
-                    });
-          if (exposed) return false;
-        }
-      }
-    }
-    if (!captured && contam_count == 0) {
-      captured = true;
-      capture_time = static_cast<SimTime>(t);
-    }
-    return true;
-  };
-
-  // Spawn steps (the exact loop steps every runnable agent before popping
-  // the first event).
-  for (std::size_t i = 0; i < m; ++i) {
-    step_fast(static_cast<AgentId>(i), 0);
-  }
-
-  Bitplane frontier_plane;
-  for (std::uint32_t t = 1; t < buckets.size() && !bailed; ++t) {
-    std::vector<AgentId>& bucket = buckets[t];
-    // Word-wide pass: for big level sweeps, one O(d * words) neighbour
-    // union amortizes the per-release exposure probes across the bucket.
-    const Bitplane* frontier = nullptr;
-    if (hc_dim != 0 && bucket.size() >= contaminated_.num_words()) {
-      neighbor_union(contaminated_, hc_dim, &frontier_plane);
-      frontier = &frontier_plane;
-    }
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      const AgentId a = bucket[k];
-      ++events;
-      end_time = static_cast<SimTime>(t);
-      if (recs[a].state == AgentState::kInTransit) {
-        if (!arrive(a, t, frontier)) {
-          bailed = true;
-          break;
-        }
-      } else {
-        HCS_ASSERT(recs[a].state == AgentState::kSleeping);
-        recs[a].state = AgentState::kRunnable;
-      }
-      step_fast(a, t);
-    }
-  }
-  if (bailed) return false;
-
-  fast_metrics_.agents_spawned = m;
-  fast_metrics_.total_moves = prog.steps.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t moves = prog.agent_offsets[i + 1] - prog.agent_offsets[i];
-    if (moves != 0) fast_metrics_.moves_by_role[prog.role(i)] += moves;
-  }
-  fast_metrics_.makespan = end_time;
-  fast_metrics_.nodes_visited = visited_.popcount();
-  fast_metrics_.events_processed = events;
-  fast_metrics_.agent_steps = steps;
-
-  *result = RunResult{};
-  result->all_terminated = true;
-  result->terminated = m;
-  result->end_time = end_time;
-  result->capture_time = capture_time;
-  captured_ = captured;
-  capture_time_ = capture_time;
-  fast_completed_ = true;
-  return true;
-}
-
-bool MacroEngine::fast_region_connected() const {
-  HCS_ASSERT(fast_completed_);
-  const std::size_t n = contaminated_.size();
-  Bitplane region(n, true);
-  region.and_not(contaminated_);
-  const std::uint64_t members = region.popcount();
-  if (members <= 1) return true;
-
-  const unsigned hc_dim = net_->graph().hypercube_dim();
-  if (hc_dim != 0) {
-    // Word-parallel BFS: expand the reached set through d neighbour
-    // permutations per pass until it stops growing.
-    Bitplane reached(n);
-    for (std::size_t k = 0; k < region.words().size(); ++k) {
-      if (region.words()[k] != 0) {
-        reached.set(k * 64 +
-                    static_cast<std::size_t>(std::countr_zero(region.words()[k])));
-        break;
-      }
-    }
-    Bitplane grown;
-    for (;;) {
-      neighbor_union(reached, hc_dim, &grown);
-      grown &= region;
-      grown.and_not(reached);
-      if (grown.none()) break;
-      reached |= grown;
-    }
-    return reached.popcount() == members;
-  }
-
-  // Generic topology: scalar flood over the region plane.
-  graph::Vertex start = 0;
-  while (!region.test(start)) ++start;
-  std::vector<graph::Vertex> stack{start};
-  Bitplane seen(n);
-  seen.set(start);
-  std::uint64_t count = 1;
-  while (!stack.empty()) {
-    const graph::Vertex u = stack.back();
-    stack.pop_back();
-    graph::for_each_neighbor(net_->graph(), u, [&](graph::Vertex w) {
-      if (region.test(w) && !seen.test(w)) {
-        seen.set(w);
-        ++count;
-        stack.push_back(w);
-      }
-    });
-  }
-  return count == members;
 }
 
 }  // namespace hcs::sim

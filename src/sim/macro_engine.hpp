@@ -1,32 +1,15 @@
-// sim::MacroEngine -- macro-step execution of declarative sweep programs.
+// sim::MacroProgram -- declarative sweep programs and their event-engine
+// form.
 //
 // A MacroProgram is a compiled, time-driven move schedule: every agent's
 // traversals carry explicit departure ticks (dense round indices under the
 // unit delay model), so running one needs no whiteboards, no wake lists
-// and no per-step protocol logic. Two executors share the format:
-//
-//  * spawn_macro_team() spawns one ScheduleAgent per program agent into a
-//    regular discrete-event Engine. This is the *oracle*: the schedule
-//    executed through the full event machinery, byte-for-byte traceable.
-//
-//  * MacroEngine executes the program natively. In *exact mode* it drives
-//    the same Network hooks through a POD event heap that replicates the
-//    Engine's (time, seq) ordering precisely -- identical Metrics,
-//    identical traces, identical fault/recovery behaviour (the
-//    differential suite pins this). In *fast mode* (tracing off,
-//    fault-free, atomic-arrival hand-over) it drops the Network entirely:
-//    node state lives in three packed bitplanes (sim/bitplane.hpp) --
-//    guarded / contaminated / visited -- updated move-by-move with
-//    cache-resident bit ops, with word-wide passes amortizing the
-//    exposure checks of large level sweeps. Fast mode bails out to exact
-//    mode the moment a vacated node would be exposed to contamination, so
-//    its observable results (Metrics, RunResult) are always identical to
-//    the event engine's.
-//
-// Eligibility: macro execution assumes the deterministic FIFO wake policy
-// and the unit delay model (the program's ticks ARE the ideal-time
-// schedule). eligible() checks exactly that; Session uses it to resolve
-// EngineKind::kAuto.
+// and no per-step protocol logic. spawn_macro_team() spawns one
+// ScheduleAgent per program agent into a regular discrete-event Engine:
+// the schedule executed through the full event machinery, byte-for-byte
+// traceable. sim::ShardedMacroEngine (sim/shard.hpp) replays the same
+// program over packed bitplanes and runs this event form whenever its
+// fast path does not apply, so the two can never disagree.
 
 #pragma once
 
@@ -34,18 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "graph/graph.hpp"
-#include "sim/bitplane.hpp"
 #include "sim/engine.hpp"
-#include "sim/metrics.hpp"
-#include "sim/network.hpp"
-#include "sim/options.hpp"
-#include "sim/types.hpp"
-
-namespace hcs::fault {
-struct RecleanPlan;
-}
 
 namespace hcs::sim {
 
@@ -80,130 +53,7 @@ struct MacroProgram {
 /// Spawns one time-driven ScheduleAgent per program agent into `engine`
 /// (at the program's homebase). The caller runs the engine to quiescence.
 /// Returns the number of agents spawned. This is the event-engine oracle
-/// the macro differential suite compares MacroEngine against.
+/// the macro differential suite compares the bitplane fast path against.
 std::uint64_t spawn_macro_team(Engine& engine, const MacroProgram& program);
-
-class MacroEngine {
- public:
-  using RunResult = Engine::RunResult;
-
-  /// The network carries graph, move semantics, trace switch and metrics,
-  /// exactly as for Engine. Fast mode leaves it untouched and reports
-  /// through the engine's own accessors below.
-  MacroEngine(Network& net, RunOptions cfg);
-
-  MacroEngine(const MacroEngine&) = delete;
-  MacroEngine& operator=(const MacroEngine&) = delete;
-
-  /// True when `cfg` permits macro execution at all: deterministic FIFO
-  /// wake policy and the unit delay model. (Tracing, faults and the
-  /// vacate ablation are fine -- they just force exact mode.)
-  [[nodiscard]] static bool eligible(const RunOptions& cfg) {
-    return cfg.policy == WakePolicy::kFifo && cfg.delay.is_unit();
-  }
-
-  /// Executes the program to completion. Call once per engine.
-  RunResult run(const MacroProgram& program);
-
-  // Post-run accessors. In exact mode these forward to the Network; in
-  // fast mode they answer from the bitplane state, so Session reads one
-  // surface regardless of mode.
-  [[nodiscard]] const Metrics& metrics() const;
-  [[nodiscard]] bool all_clean() const;
-  [[nodiscard]] bool clean_region_connected() const;
-  /// Whether the last run used the bitplane fast path end-to-end.
-  [[nodiscard]] bool used_fast_path() const { return fast_completed_; }
-
- private:
-  enum class AgentState : std::uint8_t {
-    kRunnable,
-    kWaitingGlobal,
-    kInTransit,
-    kSleeping,
-    kCrashed,
-    kDone,
-  };
-
-  /// POD agent record covering both kinds: schedule agents walk their
-  /// program slice; repair walkers (spawned by recovery rounds) walk a
-  /// reclean path under a wave turn counter.
-  struct Rec {
-    std::uint32_t cur = 0;   // next program step (schedule agents)
-    std::uint32_t end = 0;
-    graph::Vertex at = 0;
-    graph::Vertex moving_to = 0;
-    WbKey role_key;
-    std::uint64_t moves = 0;  // fault key: logical traversal counter
-    bool crash_on_arrival = false;
-    std::int32_t wave = -1;        // >= 0: repair walker of waves_[wave]
-    std::uint32_t wave_index = 0;  // walk index within its wave
-    std::uint32_t path_pos = 0;
-    std::vector<graph::Vertex> path;  // repair walk (empty for schedule)
-  };
-
-  struct Wave {
-    std::size_t turn = 0;
-    std::vector<AgentId> members;
-  };
-
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;
-    AgentId agent;
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
-  // --- exact mode: Engine-ordered event loop over the Network ---------
-  RunResult run_exact(const MacroProgram& program);
-  void run_to_quiescence();
-  void step_agent(AgentId a);
-  void do_move(AgentId a, graph::Vertex to);
-  void handle_event(const Event& e);
-  void crash_agent(AgentId a, bool counted_at, const char* what);
-  void wake_global();
-  void schedule(AgentId a, SimTime at);
-  void run_recovery();
-  std::uint64_t spawn_wave(const fault::RecleanPlan& plan);
-
-  // --- fast mode: bitplane state, bucketed ticks ----------------------
-  /// Returns true when it ran to completion; false = bailed (exposure or
-  /// guard-budget risk), caller falls back to exact mode on the untouched
-  /// Network.
-  bool run_fast(const MacroProgram& program, RunResult* result);
-  [[nodiscard]] bool fast_region_connected() const;
-
-  Network* net_;
-  RunOptions cfg_;
-  fault::FaultSchedule fault_sched_;
-  fault::DegradationReport degradation_;
-  const MacroProgram* prog_ = nullptr;
-
-  SimTime now_ = kTimeZero;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t steps_taken_ = 0;
-  std::uint64_t last_progress_step_ = 0;
-  AbortReason abort_reason_ = AbortReason::kNone;
-  bool captured_ = false;
-  SimTime capture_time_ = -1.0;
-
-  std::vector<Rec> agents_;
-  std::vector<AgentState> state_;
-  std::vector<AgentId> runnable_;
-  std::size_t runnable_head_ = 0;
-  std::vector<AgentId> waiting_global_;
-  std::vector<AgentId> wake_scratch_;
-  std::vector<Event> events_;
-  std::vector<Wave> waves_;
-
-  // Fast-mode state (valid when fast_completed_).
-  bool fast_completed_ = false;
-  Bitplane guarded_;
-  Bitplane contaminated_;
-  Bitplane visited_;
-  Metrics fast_metrics_;
-};
 
 }  // namespace hcs::sim

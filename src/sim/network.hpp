@@ -11,8 +11,8 @@
 //    (the intruder moves arbitrarily fast). Monotone strategies never
 //    trigger this; Metrics::recontamination_events counts violations.
 //
-// Network performs no scheduling itself; the Engine (event-driven) or the
-// ThreadedRuntime drives it through the on_* hooks.
+// Network performs no scheduling itself; the event Engine drives it
+// through the on_* hooks.
 
 #pragma once
 

@@ -25,8 +25,8 @@ namespace hcs::sim {
 /// kRandom explores adversarial interleavings.
 enum class WakePolicy : std::uint8_t { kFifo, kRandom };
 
-/// Which executor runs a strategy (harness-level; see sim/macro_engine.hpp
-/// and hcs::Session):
+/// Which executor runs a strategy (harness-level; see sim/shard.hpp and
+/// hcs::Session):
 ///  * kEvent -- the discrete-event Engine stepping the distributed
 ///    protocol agent-by-agent (the default, and the reference semantics);
 ///  * kMacro -- the macro-step engine executing the strategy's compiled
@@ -86,12 +86,12 @@ struct RunOptions {
   /// Snapshots retained per store directory (minimum 2: one torn newest
   /// file must always leave a good predecessor).
   std::uint32_t checkpoint_keep = 3;
-  /// Subcube shards for the macro executor's parallel fast path
-  /// (sim/shard.hpp): 1 = the serial macro engine (the historical
-  /// behaviour), 0 = auto (min(hardware threads, 2^(d-10))), N = round
-  /// down to a power of two. Purely an execution detail -- results are
-  /// byte-identical at any value and it never enters hcs::CellKey, ckpt
-  /// fingerprints or the hcsd cache key. The event engine ignores it.
+  /// Subcube shards for the macro executor's fast path (sim/shard.hpp):
+  /// 1 = one shard, every tick on the fused loop (the default), 0 = auto
+  /// (min(hardware threads, 2^(d-10))), N = round down to a power of two.
+  /// Purely an execution detail -- results are byte-identical at any value
+  /// and it never enters hcs::CellKey, ckpt fingerprints or the hcsd cache
+  /// key. The event engine ignores it.
   std::uint32_t shards = 1;
 };
 

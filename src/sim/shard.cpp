@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "sim/engine.hpp"
 #include "util/assert.hpp"
 
 namespace hcs::sim {
@@ -48,27 +49,21 @@ ShardPlan ShardPlan::resolve(std::uint32_t requested, unsigned hc_dim,
 // --------------------------------------------------------------- Calendar
 
 ShardedMacroEngine::Calendar::Calendar(std::size_t ring_ticks)
-    : ring_(ring_ticks) {
+    : ring_(ring_ticks), mask_(static_cast<std::uint32_t>(ring_ticks - 1)) {
   HCS_EXPECTS(std::has_single_bit(ring_ticks));
 }
 
-void ShardedMacroEngine::Calendar::push(std::uint32_t time, AgentId agent) {
-  HCS_ASSERT(time > cur_);
-  if (time - cur_ < ring_.size()) {
-    ring_[time & (ring_.size() - 1)].push_back(agent);
-    ++ring_pending_;
-  } else {
-    // Far sleeps keep their global push order via the sequence number;
-    // every far push for a tick happens strictly before any ring push
-    // for it (the ring window has not reached the tick yet), so heap
-    // entries always drain ahead of the ring slot.
-    heap_.push_back(Far{time, push_seq_, agent});
-    std::push_heap(heap_.begin(), heap_.end(),
-                   [](const Far& a, const Far& b) {
-                     return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-                   });
-  }
-  ++push_seq_;
+void ShardedMacroEngine::Calendar::push_far(std::uint32_t time,
+                                            AgentId agent) {
+  // Far sleeps keep their push order via the sequence number;
+  // every far push for a tick happens strictly before any ring push
+  // for it (the ring window has not reached the tick yet), so heap
+  // entries always drain ahead of the ring slot.
+  heap_.push_back(Far{time, push_seq_++, agent});
+  std::push_heap(heap_.begin(), heap_.end(),
+                 [](const Far& a, const Far& b) {
+                   return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+                 });
 }
 
 bool ShardedMacroEngine::Calendar::next(std::uint32_t* time,
@@ -118,25 +113,24 @@ bool ShardedMacroEngine::Calendar::next(std::uint32_t* time,
 
 ShardedMacroEngine::ShardedMacroEngine(Network& net, RunOptions cfg)
     : net_(&net),
-      cfg_(cfg),
-      inner_(net, cfg),
-      plan_(ShardPlan::resolve(cfg.shards, net.graph().hypercube_dim())) {}
+      cfg_(std::move(cfg)),
+      plan_(ShardPlan::resolve(cfg_.shards, net.graph().hypercube_dim())) {
+  HCS_EXPECTS(eligible(cfg_) &&
+              "macro execution requires the FIFO wake policy and the unit "
+              "delay model");
+}
 
 const Metrics& ShardedMacroEngine::metrics() const {
-  return sharded_completed_ ? fast_metrics_ : inner_.metrics();
+  return fast_completed_ ? fast_metrics_ : net_->metrics();
 }
 
 bool ShardedMacroEngine::all_clean() const {
-  return sharded_completed_ ? contaminated_.none() : inner_.all_clean();
+  return fast_completed_ ? contaminated_.none() : net_->all_clean();
 }
 
 bool ShardedMacroEngine::clean_region_connected() const {
-  return sharded_completed_ ? fast_region_connected()
-                            : inner_.clean_region_connected();
-}
-
-bool ShardedMacroEngine::used_fast_path() const {
-  return sharded_completed_ || inner_.used_fast_path();
+  return fast_completed_ ? fast_region_connected()
+                         : net_->clean_region_connected();
 }
 
 void ShardedMacroEngine::parallel_shards(
@@ -176,40 +170,41 @@ void ShardedMacroEngine::parallel_shards(
 
 ShardedMacroEngine::RunResult ShardedMacroEngine::run(
     const MacroProgram& program) {
-  // Same coverage rule as the serial fast path -- anything that must
-  // observe intermediate state or perturb the schedule runs exact -- plus
-  // the subcube partition itself, which needs the hypercube word layout.
-  const bool fast_ok =
-      plan_.shards > 1 && !net_->trace().enabled() && cfg_.faults.empty() &&
-      net_->move_semantics() == MoveSemantics::kAtomicArrival &&
-      net_->graph().hypercube_dim() >= 7;
-  if (fast_ok) {
-    obs::ScopedSink obs_sink(cfg_.obs);
-    obs::Span run_span(cfg_.obs, "macro.run");
-    RunResult result;
-    if (run_fast_sharded(program, &result)) {
-      if (cfg_.obs != nullptr) {
-        cfg_.obs->counter_add("macro.events", fast_metrics_.events_processed);
-        cfg_.obs->counter_add("macro.steps", fast_metrics_.agent_steps);
-        cfg_.obs->counter_add("macro.fast_runs");
-        cfg_.obs->counter_add("macro.sharded_runs");
-      }
-      return result;
+  obs::ScopedSink obs_sink(cfg_.obs);
+  obs::Span run_span(cfg_.obs, "macro.run");
+
+  // The fast path covers the default measurement configuration; anything
+  // that must observe intermediate state (tracing), perturb the schedule
+  // (faults) or change the hand-over (the vacate ablation) runs on the
+  // event engine, as does any run the fast path declines or bails on.
+  const bool fast_ok = !net_->trace().enabled() && cfg_.faults.empty() &&
+                       net_->move_semantics() == MoveSemantics::kAtomicArrival;
+  RunResult result;
+  if (fast_ok && run_fast(program, &result)) {
+    if (cfg_.obs != nullptr) {
+      cfg_.obs->counter_add("macro.events", fast_metrics_.events_processed);
+      cfg_.obs->counter_add("macro.steps", fast_metrics_.agent_steps);
+      cfg_.obs->counter_add("macro.fast_runs");
+      if (plan_.shards > 1) cfg_.obs->counter_add("macro.sharded_runs");
     }
+    return result;
   }
-  return inner_.run(program);
+  Engine engine(*net_, cfg_);
+  spawn_macro_team(engine, program);
+  return engine.run();
 }
 
-bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
-                                          RunResult* result) {
+bool ShardedMacroEngine::run_fast(const MacroProgram& prog,
+                                  RunResult* result) {
   const std::size_t n = net_->num_nodes();
   const std::size_t m = prog.num_agents();
-  const unsigned hc_dim = net_->graph().hypercube_dim();
+  const graph::Graph& g = net_->graph();
+  const unsigned hc_dim = g.hypercube_dim();
   const unsigned shards = plan_.shards;
-  const std::size_t words = n / 64;
 
-  // Mirror the serial fast path's abort-guard screen: step caps and
-  // livelock windows cannot be reproduced after the fact.
+  // Abort-guard interactions (step caps, livelock windows) cannot be
+  // reproduced after the fact; leave any run that could plausibly trip
+  // them to the event engine, which aborts exactly where it must.
   const std::uint64_t step_bound = 2 * prog.steps.size() + 2 * m;
   if (step_bound >= cfg_.max_agent_steps || m >= cfg_.livelock_window) {
     return false;
@@ -219,11 +214,14 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   guarded_ = Bitplane(n);
   contaminated_ = Bitplane(n, true);
   visited_ = Bitplane(n);
-  cleaned_tick_ = Bitplane(n);
   fast_metrics_ = Metrics{};
   counts_.assign(n, 0);
-  clean_stamp_.assign(n, 0);
-  scratch_.assign(shards, ShardScratch{});
+  if (shards > 1) {
+    cleaned_tick_ = Bitplane(n);
+    clean_stamp_.assign(n, 0);
+    scratch_.assign(shards, ShardScratch{});
+  }
+  const std::size_t words = contaminated_.num_words();
 
   const graph::Vertex home = prog.homebase;
   for (std::size_t i = 0; i < m; ++i) {
@@ -246,7 +244,8 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   SimTime capture_time = -1.0;
 
   // One step of agent a at tick t, pushing through `push` (a calendar
-  // push for the leader, a chunk-local list inside P0).
+  // push for the leader, a chunk-local list inside P0): park, sleep until
+  // the next departure, or start the next traversal (arrival at t + 1).
   const auto step_fast = [&prog, &recs](AgentId a, std::uint32_t t,
                                         auto&& push) {
     FRec& r = recs[a];
@@ -271,7 +270,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
     cal.push(time, a);
   };
 
-  // Spawn steps, in agent order like the exact loop's first dispatch.
+  // Spawn steps, in agent order like the event engine's first dispatch.
   for (std::size_t i = 0; i < m; ++i) {
     ++steps;
     step_fast(static_cast<AgentId>(i), 0, cal_push);
@@ -280,8 +279,10 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   // Ticks below this stay on the fused serial loop: the phase split pays
   // off once a bucket spans the plane (cache-blocked node passes) and
   // feeds every shard (the CLEAN token walk averages ~1 event per tick).
+  // A single shard never leaves the fused loop.
   const std::size_t phase_threshold =
-      std::max<std::size_t>(words, std::size_t{64} * shards);
+      shards > 1 ? std::max<std::size_t>(words, std::size_t{64} * shards)
+                 : ~std::size_t{0};
   const unsigned node_shift = plan_.node_shift;
   const std::size_t wps = plan_.words_per_shard;
 
@@ -294,10 +295,13 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
     end_time = static_cast<SimTime>(t);
 
     if (b < phase_threshold) {
-      // Fused serial tick: identical statement order to
-      // MacroEngine::run_fast, including the frontier rule.
+      // Fused tick. Word-wide pass: for big level sweeps, one O(d * words)
+      // neighbour union certifies most releases wholesale -- contamination
+      // only shrinks inside a fault-free tick, so a node with no
+      // contaminated neighbour at tick start has none now; only frontier
+      // nodes need the exact per-release probe.
       const Bitplane* frontier = nullptr;
-      if (b >= words) {
+      if (hc_dim != 0 && b >= words) {
         neighbor_union(contaminated_, hc_dim, &frontier_);
         frontier = &frontier_;
       }
@@ -320,12 +324,13 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
             HCS_ASSERT(counts_[from] > 0);
             if (--counts_[from] == 0) {
               guarded_.clear(from);
-              if (frontier == nullptr || frontier->test(from)) {
-                for (unsigned j = 0; j < hc_dim; ++j) {
-                  if (contaminated_.test(from ^ (graph::Vertex{1} << j))) {
-                    return false;  // exposed: bail to exact mode
-                  }
-                }
+              // Exposed: some neighbour (the d XOR partners on a
+              // hypercube, the adjacency list elsewhere) is contaminated.
+              if ((frontier == nullptr || frontier->test(from)) &&
+                  graph::any_neighbor(g, from, [&](graph::Vertex w) {
+                    return contaminated_.test(w);
+                  })) {
+                return false;  // bail to the event engine
               }
             }
           }
@@ -368,8 +373,8 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
         });
       }
     });
-    // Merging chunk push lists in chunk order restores the serial push
-    // order (chunks partition the bucket's positions in order).
+    // Merging chunk push lists in chunk order restores the fused loop's
+    // push order (chunks partition the bucket's positions in order).
     for (unsigned c = 0; c < shards; ++c) {
       for (const auto& [time, agent] : scratch_[c].pushes) {
         cal.push(time, agent);
@@ -378,7 +383,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
 
     // ---- P1: node phase. Every shard replays the full record sequence
     // and applies the updates it owns; per-node update order is the
-    // serial order because ownership is a partition.
+    // fused loop's because ownership is a partition.
     const std::uint64_t tick_stamp = std::uint64_t{t} << 32;
     parallel_shards([&](std::size_t s) {
       ShardScratch& sc = scratch_[s];
@@ -432,7 +437,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
       if (releases >= words) {
         // contamination-at-tick-start = end state + this tick's cleans;
         // its word-sliced neighbour union certifies non-frontier releases
-        // wholesale, exactly like the serial frontier plane.
+        // wholesale, exactly like the fused loop's frontier plane.
         if (contam_start_.size() != n) contam_start_ = Bitplane(n);
         if (frontier_.size() != n) frontier_ = Bitplane(n);
         parallel_shards([&](std::size_t s) {
@@ -466,7 +471,7 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
         }
       });
       for (unsigned s = 0; s < shards; ++s) {
-        if (scratch_[s].exposed) return false;  // bail to exact mode
+        if (scratch_[s].exposed) return false;  // bail to the event engine
       }
     }
   }
@@ -488,37 +493,61 @@ bool ShardedMacroEngine::run_fast_sharded(const MacroProgram& prog,
   result->terminated = m;
   result->end_time = end_time;
   result->capture_time = capture_time;
-  sharded_completed_ = true;
+  fast_completed_ = true;
   return true;
 }
 
 bool ShardedMacroEngine::fast_region_connected() const {
-  HCS_ASSERT(sharded_completed_);
+  HCS_ASSERT(fast_completed_);
   const std::size_t n = contaminated_.size();
   Bitplane region(n, true);
   region.and_not(contaminated_);
   const std::uint64_t members = region.popcount();
   if (members <= 1) return true;
 
-  const unsigned hc_dim = net_->graph().hypercube_dim();
-  HCS_ASSERT(hc_dim != 0);
-  Bitplane reached(n);
-  for (std::size_t k = 0; k < region.words().size(); ++k) {
-    if (region.words()[k] != 0) {
-      reached.set(k * 64 + static_cast<std::size_t>(
-                               std::countr_zero(region.words()[k])));
-      break;
+  const graph::Graph& g = net_->graph();
+  const unsigned hc_dim = g.hypercube_dim();
+  if (hc_dim != 0) {
+    // Word-parallel BFS: expand the reached set through d neighbour
+    // permutations per pass until it stops growing.
+    Bitplane reached(n);
+    for (std::size_t k = 0; k < region.words().size(); ++k) {
+      if (region.words()[k] != 0) {
+        reached.set(k * 64 + static_cast<std::size_t>(
+                                 std::countr_zero(region.words()[k])));
+        break;
+      }
     }
+    Bitplane grown;
+    for (;;) {
+      neighbor_union(reached, hc_dim, &grown);
+      grown &= region;
+      grown.and_not(reached);
+      if (grown.none()) break;
+      reached |= grown;
+    }
+    return reached.popcount() == members;
   }
-  Bitplane grown;
-  for (;;) {
-    neighbor_union(reached, hc_dim, &grown);
-    grown &= region;
-    grown.and_not(reached);
-    if (grown.none()) break;
-    reached |= grown;
+
+  // Generic topology: scalar flood over the region plane.
+  graph::Vertex start = 0;
+  while (!region.test(start)) ++start;
+  std::vector<graph::Vertex> stack{start};
+  Bitplane seen(n);
+  seen.set(start);
+  std::uint64_t count = 1;
+  while (!stack.empty()) {
+    const graph::Vertex u = stack.back();
+    stack.pop_back();
+    graph::for_each_neighbor(g, u, [&](graph::Vertex w) {
+      if (region.test(w) && !seen.test(w)) {
+        seen.set(w);
+        ++count;
+        stack.push_back(w);
+      }
+    });
   }
-  return reached.popcount() == members;
+  return count == members;
 }
 
 }  // namespace hcs::sim

@@ -58,10 +58,9 @@ enum class AbortReason : std::uint8_t {
 }
 
 /// A protocol's atomic decision for one agent at its node: keep waiting,
-/// move to `dest`, or terminate. Shared vocabulary of the decision
-/// functions (e.g. the Section 4.2 visibility rule) and both runtimes: the
-/// event Engine wraps it in an Action, the ThreadedRuntime executes it
-/// directly as a LocalRule result.
+/// move to `dest`, or terminate. The vocabulary of the local decision
+/// functions (e.g. the Section 4.2 visibility rule); the agent wrapping
+/// one turns it into an engine Action.
 struct LocalDecision {
   enum class Kind : std::uint8_t { kWait, kMove, kTerminate };
   Kind kind = Kind::kWait;

@@ -12,7 +12,7 @@
 // mutex (slow path, called once per distinct name -- strategy code caches
 // the result in a namespace-scope constant), while wb_key_name() is a
 // lock-free acquire-load, safe to call concurrently with interning from
-// the threaded runtime's agent threads.
+// the sweep pool's worker threads.
 
 #pragma once
 

@@ -2,8 +2,7 @@
 //
 // Each node has a local storage area that agents read and write in fair
 // mutual exclusion. In the discrete-event engine every agent step is
-// atomic, so exclusion is structural; in the threaded runtime each
-// whiteboard carries its own mutex (see threaded_runtime.hpp).
+// atomic, so exclusion is structural.
 //
 // The paper's strategies need only O(log n) bits of whiteboard per node; to
 // make that claim *checkable*, the whiteboard tracks the peak number of

@@ -1,6 +1,6 @@
 // Leveled, thread-safe logging.
 //
-// The simulator and the threaded runtime can emit copious traces; this
+// The simulator and the sweep pool's workers can emit copious traces; this
 // logger keeps them cheap when disabled (level check before formatting) and
 // serialized when enabled (a single mutex around the write).
 

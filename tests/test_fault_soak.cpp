@@ -13,13 +13,11 @@
 #include <random>
 #include <string>
 
-#include "core/clean_visibility.hpp"
 #include "core/formulas.hpp"
 #include "core/strategy.hpp"
 #include "fault/fault.hpp"
 #include "fuzz/campaign.hpp"
 #include "graph/builders.hpp"
-#include "sim/threaded_runtime.hpp"
 
 namespace hcs {
 namespace {
@@ -82,30 +80,6 @@ TEST(FaultSoak, EngineSurvivesMixedFaultWorkloads) {
     if (out.captured()) {
       EXPECT_NE(out.verdict(), "failed(fault-unrecoverable)")
           << "fault seed " << seed;
-    }
-  }
-}
-
-TEST(FaultSoak, ThreadedRuntimeRecleansUnderRandomCrashes) {
-  for (int iter = 0; iter < soak_iters(); ++iter) {
-    const std::uint64_t seed = fresh_seed();
-    SCOPED_TRACE("replay with fault seed " + std::to_string(seed));
-    const graph::Graph g = graph::make_hypercube(4);
-    sim::Network net(g, 0);
-    sim::ThreadedRuntime::Config cfg;
-    cfg.max_traversal_sleep_us = 30;
-    cfg.faults = fault::FaultSpec::crashes(0.03, seed);
-    sim::ThreadedRuntime runtime(net, cfg);
-    const auto report = runtime.run(core::visibility_team_size(4),
-                                    core::make_visibility_rule(4));
-    EXPECT_TRUE(report.all_clean ||
-                report.abort_reason ==
-                    sim::AbortReason::kFaultUnrecoverable)
-        << "fault seed " << seed;
-    if (report.degradation.crashes == 0) {
-      // No crash drawn this seed: the run must be exactly fault-free.
-      EXPECT_TRUE(report.all_terminated) << "fault seed " << seed;
-      EXPECT_TRUE(report.all_clean) << "fault seed " << seed;
     }
   }
 }

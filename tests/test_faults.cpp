@@ -10,7 +10,6 @@
 #include <random>
 #include <set>
 
-#include "core/clean_visibility.hpp"
 #include "core/formulas.hpp"
 #include "core/strategy.hpp"
 #include "fault/fault_io.hpp"
@@ -19,7 +18,6 @@
 #include "run/sweep.hpp"
 #include "run/sweep_io.hpp"
 #include "sim/engine.hpp"
-#include "sim/threaded_runtime.hpp"
 
 namespace hcs {
 namespace {
@@ -306,40 +304,6 @@ TEST(FaultSweep, FaultAxisIsByteIdenticalAtAnyThreadCount) {
     }
   }
   EXPECT_GT(injected, 0u);
-}
-
-TEST(FaultThreaded, CrashedThreadsAreRepairedByRecleanWaves) {
-  const graph::Graph g = graph::make_hypercube(4);
-  sim::Network net(g, 0);
-  sim::ThreadedRuntime::Config cfg;
-  cfg.seed = 5;
-  cfg.max_traversal_sleep_us = 30;
-  cfg.faults = fault::FaultSpec::crashes(0.05, 9);
-  sim::ThreadedRuntime runtime(net, cfg);
-  const auto report = runtime.run(core::visibility_team_size(4),
-                                  core::make_visibility_rule(4));
-  // The schedule at this (rate, seed) kills at least one thread...
-  EXPECT_GT(report.degradation.crashes, 0u);
-  // ...and the reclean waves leave the network clean regardless of the
-  // real interleaving the OS produced.
-  EXPECT_TRUE(report.all_clean);
-  EXPECT_NE(report.abort_reason, sim::AbortReason::kFaultUnrecoverable);
-}
-
-TEST(FaultThreaded, EmptySpecIsExactlyFaultFree) {
-  const graph::Graph g = graph::make_hypercube(4);
-  sim::Network net(g, 0);
-  sim::ThreadedRuntime::Config cfg;
-  cfg.seed = 1;
-  cfg.max_traversal_sleep_us = 50;
-  cfg.faults = fault::FaultSpec::none();
-  sim::ThreadedRuntime runtime(net, cfg);
-  const auto report = runtime.run(core::visibility_team_size(4),
-                                  core::make_visibility_rule(4));
-  EXPECT_TRUE(report.all_terminated);
-  EXPECT_TRUE(report.all_clean);
-  EXPECT_TRUE(report.degradation.empty());
-  EXPECT_EQ(report.total_moves, core::visibility_moves(4));
 }
 
 // Property test for the JSON layer the fuzz corpus depends on: every

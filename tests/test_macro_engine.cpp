@@ -1,11 +1,12 @@
-// sim::MacroEngine differential suite: executing a strategy's compiled
-// MacroProgram natively must be indistinguishable from executing it
-// through the discrete-event Engine (spawn_macro_team's ScheduleAgents).
+// Macro differential suite: executing a strategy's compiled MacroProgram
+// through sim::ShardedMacroEngine must be indistinguishable from executing
+// it through the discrete-event Engine (spawn_macro_team's ScheduleAgents).
 //
-//  * exact mode (tracing on, and/or faults, and/or vacate-on-departure):
-//    identical Metrics, identical trace event sequences, identical
-//    RunResults -- byte-for-byte, including crash/recovery behaviour;
-//  * fast mode (tracing off, fault-free, atomic arrival): identical
+//  * event-engine runs (tracing on, and/or faults, and/or
+//    vacate-on-departure): identical Metrics, identical trace event
+//    sequences, identical RunResults -- byte-for-byte, including
+//    crash/recovery behaviour;
+//  * fast path (tracing off, fault-free, atomic arrival): identical
 //    Metrics and RunResults answered from the bitplane state, with the
 //    safety verdicts (all_clean / clean_region_connected) agreeing with
 //    the Network's bookkeeping.
@@ -31,6 +32,7 @@
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/options.hpp"
+#include "sim/shard.hpp"
 #include "sim/trace.hpp"
 
 namespace hcs {
@@ -77,7 +79,7 @@ CapturedRun run_macro(const sim::MacroProgram& prog, const graph::Graph& g,
   sim::Network net(g, 0);
   net.set_move_semantics(semantics);
   net.trace().enable(trace);
-  sim::MacroEngine engine(net, macro_run_options(trace, fault_rate));
+  sim::ShardedMacroEngine engine(net, macro_run_options(trace, fault_rate));
   CapturedRun run;
   run.result = engine.run(prog);
   run.metrics = engine.metrics();
@@ -180,7 +182,7 @@ void run_macro_differential(sim::MoveSemantics semantics, bool trace,
 }
 
 // =================================================================
-// Exact mode: trace on -> full byte-for-byte trace comparison.
+// Event-engine runs: trace on -> full byte-for-byte trace comparison.
 
 TEST(MacroDifferential, ExactAtomicArrival) {
   run_macro_differential(sim::MoveSemantics::kAtomicArrival, /*trace=*/true,
@@ -203,8 +205,8 @@ TEST(MacroDifferential, ExactUnderCrashFaultsVacate) {
 }
 
 // Wider dimensions, tracing off (trace buffers at d = 10 dominate the
-// runtime otherwise): fault-free exact mode under vacate semantics plus
-// the fast path under atomic arrival.
+// runtime otherwise): fault-free event-engine runs under vacate semantics
+// plus the fast path under atomic arrival.
 
 TEST(MacroDifferential, WideDimensionsAtomic) {
   run_macro_differential(sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
@@ -230,9 +232,9 @@ TEST(MacroDifferential, FastPathMatchesEventEngine) {
 }
 
 TEST(MacroEngine, FastPathEngagesForMonotoneSchedules) {
-  // The two singleton-round planners are per-move monotone, so fast mode
-  // must complete without bailing to exact mode (this is the path the
-  // H_16+ throughput numbers rest on).
+  // The two singleton-round planners are per-move monotone, so the fast
+  // path must complete without bailing to the event engine (this is the
+  // path the H_16+ throughput numbers rest on).
   const auto& registry = core::StrategyRegistry::instance();
   for (const char* name : {"NAIVE-LEVEL-SWEEP", "TREE-SWEEP", "CLEAN"}) {
     const core::Strategy& strategy = registry.get(name);
@@ -286,15 +288,15 @@ TEST(MacroProgram, RolesDefaultToAgent) {
 
 TEST(MacroEngine, EligibilityRequiresFifoAndUnitDelay) {
   sim::RunOptions cfg;
-  EXPECT_TRUE(sim::MacroEngine::eligible(cfg));
+  EXPECT_TRUE(sim::ShardedMacroEngine::eligible(cfg));
   cfg.policy = sim::WakePolicy::kRandom;
-  EXPECT_FALSE(sim::MacroEngine::eligible(cfg));
+  EXPECT_FALSE(sim::ShardedMacroEngine::eligible(cfg));
   cfg.policy = sim::WakePolicy::kFifo;
   cfg.delay = sim::DelayModel::uniform(0.5, 1.5);
-  EXPECT_FALSE(sim::MacroEngine::eligible(cfg));
+  EXPECT_FALSE(sim::ShardedMacroEngine::eligible(cfg));
   cfg.delay = sim::DelayModel::unit();
-  cfg.trace = true;  // tracing forces exact mode but not ineligibility
-  EXPECT_TRUE(sim::MacroEngine::eligible(cfg));
+  cfg.trace = true;  // tracing forces the event engine, not ineligibility
+  EXPECT_TRUE(sim::ShardedMacroEngine::eligible(cfg));
 }
 
 TEST(Session, EngineAxisResolvesMacroAndFallsBack) {

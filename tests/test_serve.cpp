@@ -389,43 +389,50 @@ TEST(Service, StatsAndPingAndShutdownOps) {
 // --- TCP end-to-end ----------------------------------------------------
 
 TEST(ServerTcp, ServesRunsAndSurvivesGarbageThenShutsDown) {
-  ServerConfig config;  // ephemeral port on 127.0.0.1
-  Server server(config);
-  std::string error;
-  ASSERT_TRUE(server.start(&error)) << error;
-  ASSERT_NE(server.port(), 0);
+  // Several start -> shutdown-op -> wait() rounds: the shutdown op runs
+  // stop() on the server's own shutdown thread while the acceptor is
+  // still blocked in accept(), which is the listener race the
+  // thread-sanitizer job watches for.
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ServerConfig config;  // ephemeral port on 127.0.0.1
+    Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    ASSERT_NE(server.port(), 0);
 
-  Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
+    Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
 
-  std::string reply;
-  ASSERT_TRUE(client.request(R"({"id":1,"op":"ping"})", &reply));
-  EXPECT_NE(reply.find("\"pong\":true"), std::string::npos);
+    std::string reply;
+    ASSERT_TRUE(client.request(R"({"id":1,"op":"ping"})", &reply));
+    EXPECT_NE(reply.find("\"pong\":true"), std::string::npos);
 
-  // Malformed bytes on a live socket: an error reply, not a dropped
-  // connection or a dead server.
-  ASSERT_TRUE(client.request("this is not json", &reply));
-  EXPECT_NE(reply.find("\"ok\":false"), std::string::npos);
+    // Malformed bytes on a live socket: an error reply, not a dropped
+    // connection or a dead server.
+    ASSERT_TRUE(client.request("this is not json", &reply));
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos);
 
-  ASSERT_TRUE(client.request(kRunClean6, &reply));
-  EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
-  const std::string cold_body = body_of(reply);
+    ASSERT_TRUE(client.request(kRunClean6, &reply));
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    const std::string cold_body = body_of(reply);
 
-  // A second connection sees the cache entry the first one created.
-  Client other;
-  ASSERT_TRUE(other.connect("127.0.0.1", server.port(), &error)) << error;
-  ASSERT_TRUE(other.request(kRunClean6, &reply));
-  EXPECT_NE(reply.find("\"cached\":true"), std::string::npos);
-  EXPECT_EQ(body_of(reply), cold_body);
+    // A second connection sees the cache entry the first one created.
+    Client other;
+    ASSERT_TRUE(other.connect("127.0.0.1", server.port(), &error)) << error;
+    ASSERT_TRUE(other.request(kRunClean6, &reply));
+    EXPECT_NE(reply.find("\"cached\":true"), std::string::npos);
+    EXPECT_EQ(body_of(reply), cold_body);
 
-  ASSERT_TRUE(other.request(R"({"id":9,"op":"shutdown"})", &reply));
-  EXPECT_NE(reply.find("\"shutting_down\":true"), std::string::npos);
-  server.wait();
+    ASSERT_TRUE(other.request(R"({"id":9,"op":"shutdown"})", &reply));
+    EXPECT_NE(reply.find("\"shutting_down\":true"), std::string::npos);
+    server.wait();
 
-  const ServiceStats stats = server.service().stats();
-  EXPECT_EQ(stats.executions, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.errors, 1u);
+    const ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.executions, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.errors, 1u);
+  }
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 //
 // The shard axis is an execution detail: for every shard count the engine
 // must produce byte-identical Metrics, RunResults, safety verdicts and
-// (where applicable) traces to the serial MacroEngine, which remains the
-// reference implementation. The suite pins that contract across the
-// strategy registry, both hand-over semantics, crash-fault workloads
-// (which delegate to exact mode) and the run-identity surfaces that must
-// never see the knob: hcs::CellKey and checkpoint fingerprints.
+// (where applicable) traces to the event-engine oracle, spawn_macro_team
+// on sim::Engine. The suite pins that contract across the strategy
+// registry, both hand-over semantics, crash-fault workloads (which run on
+// the event engine) and the run-identity surfaces that must never see the
+// knob: hcs::CellKey and checkpoint fingerprints.
 //
 // The concurrency tests double as the TSan subjects (`ctest -L shard`
 // under the sanitizer matrix): they drive the barrier-phased path with
@@ -25,6 +25,7 @@
 #include "core/strategy_registry.hpp"
 #include "fault/fault.hpp"
 #include "graph/builders.hpp"
+#include "sim/engine.hpp"
 #include "sim/macro_engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
@@ -41,6 +42,7 @@ struct CapturedRun {
   sim::Engine::RunResult result;
   bool all_clean = false;
   bool clean_region_connected = false;
+  bool used_fast = false;
   bool used_sharded = false;
   unsigned resolved_shards = 1;
 };
@@ -56,19 +58,21 @@ sim::RunOptions shard_run_options(std::uint32_t shards, bool trace,
   return cfg;
 }
 
-CapturedRun run_serial(const sim::MacroProgram& prog, const graph::Graph& g,
-                       sim::MoveSemantics semantics, bool trace,
-                       double fault_rate) {
+CapturedRun run_event_oracle(const sim::MacroProgram& prog,
+                             const graph::Graph& g,
+                             sim::MoveSemantics semantics, bool trace,
+                             double fault_rate) {
   sim::Network net(g, 0);
   net.set_move_semantics(semantics);
   net.trace().enable(trace);
-  sim::MacroEngine engine(net, shard_run_options(1, trace, fault_rate));
+  sim::Engine engine(net, shard_run_options(1, trace, fault_rate));
+  sim::spawn_macro_team(engine, prog);
   CapturedRun run;
-  run.result = engine.run(prog);
-  run.metrics = engine.metrics();
+  run.result = engine.run();
+  run.metrics = net.metrics();
   run.events = net.trace().events();
-  run.all_clean = engine.all_clean();
-  run.clean_region_connected = engine.clean_region_connected();
+  run.all_clean = net.all_clean();
+  run.clean_region_connected = net.clean_region_connected();
   return run;
 }
 
@@ -86,6 +90,7 @@ CapturedRun run_sharded(const sim::MacroProgram& prog, const graph::Graph& g,
   run.events = net.trace().events();
   run.all_clean = engine.all_clean();
   run.clean_region_connected = engine.clean_region_connected();
+  run.used_fast = engine.used_fast_path();
   run.used_sharded = engine.used_sharded_path();
   run.resolved_shards = engine.plan().shards;
   return run;
@@ -146,7 +151,7 @@ void run_shard_differential(sim::MoveSemantics semantics, bool trace,
       any = true;
       const graph::Graph g = strategy.build_graph(d);
       const CapturedRun serial =
-          run_serial(*prog, g, semantics, trace, fault_rate);
+          run_event_oracle(*prog, g, semantics, trace, fault_rate);
       for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
         const std::string label =
             name + " d=" + std::to_string(d) + " shards=" +
@@ -206,7 +211,7 @@ TEST(ShardPlan, AutoScalesWithDimensionAndThreads) {
 }
 
 // =================================================================
-// Shard-count differential: every count must match the serial engine.
+// Shard-count differential: every count must match the event oracle.
 
 TEST(ShardDifferential, FastPathAtomicArrival) {
   bool any_sharded = false;
@@ -242,7 +247,7 @@ TEST(ShardDifferential, WideDimensions) {
       const std::optional<sim::MacroProgram> prog = strategy.macro_program(d);
       ASSERT_TRUE(prog.has_value()) << name;
       const graph::Graph g = strategy.build_graph(d);
-      const CapturedRun serial = run_serial(
+      const CapturedRun serial = run_event_oracle(
           *prog, g, sim::MoveSemantics::kAtomicArrival, false, 0.0);
       for (std::uint32_t shards : {2u, 8u}) {
         const CapturedRun sharded =
@@ -258,7 +263,7 @@ TEST(ShardDifferential, WideDimensions) {
   }
 }
 
-TEST(ShardedMacroEngine, ShardsOneDelegatesWholly) {
+TEST(ShardedMacroEngine, ShardsOneCompletesOnFastPath) {
   const core::Strategy& strategy =
       core::StrategyRegistry::instance().get("CLEAN");
   const std::optional<sim::MacroProgram> prog = strategy.macro_program(8);
@@ -266,6 +271,7 @@ TEST(ShardedMacroEngine, ShardsOneDelegatesWholly) {
   const graph::Graph g = strategy.build_graph(8);
   const CapturedRun run = run_sharded(
       *prog, g, sim::MoveSemantics::kAtomicArrival, 1, false, 0.0);
+  EXPECT_TRUE(run.used_fast);
   EXPECT_FALSE(run.used_sharded);
   EXPECT_EQ(run.resolved_shards, 1u);
   EXPECT_TRUE(run.result.all_terminated);
@@ -286,8 +292,8 @@ TEST(ShardConcurrency, WideTicksUnderManyShards) {
   const std::optional<sim::MacroProgram> prog = strategy.macro_program(10);
   ASSERT_TRUE(prog.has_value());
   const graph::Graph g = strategy.build_graph(10);
-  const CapturedRun serial =
-      run_serial(*prog, g, sim::MoveSemantics::kAtomicArrival, false, 0.0);
+  const CapturedRun serial = run_event_oracle(
+      *prog, g, sim::MoveSemantics::kAtomicArrival, false, 0.0);
   for (int rep = 0; rep < 3; ++rep) {
     const CapturedRun sharded = run_sharded(
         *prog, g, sim::MoveSemantics::kAtomicArrival, 8, false, 0.0);
@@ -335,7 +341,7 @@ TEST(ShardIdentity, CheckpointFingerprintIgnoresShards) {
 
 // =================================================================
 // Session-level plumbing: the knob reaches the macro executor and the
-// outcome stays byte-identical to the serial engine's.
+// outcome stays byte-identical to the single-shard run's.
 
 TEST(Session, ShardedMacroOutcomeMatchesSerial) {
   SessionConfig serial_config;

@@ -1,6 +1,6 @@
 // Whiteboard storage faults: a lost entry must read back as "absent"
 // (std::nullopt / fallback), never as stale data, under the write-hook
-// mechanism directly and through both runtimes.
+// mechanism directly and through the event engine.
 
 #include "sim/whiteboard.hpp"
 
@@ -11,7 +11,6 @@
 #include "fault/fault.hpp"
 #include "graph/builders.hpp"
 #include "sim/engine.hpp"
-#include "sim/threaded_runtime.hpp"
 
 namespace hcs {
 namespace {
@@ -123,26 +122,6 @@ TEST(WhiteboardFaults, EngineCorruptionReplacesTheValueDeterministically) {
   // Deterministic per seed, and not the committed value.
   EXPECT_EQ(corrupted_value(3), corrupted_value(3));
   EXPECT_NE(corrupted_value(3), 7);
-}
-
-TEST(WhiteboardFaults, ThreadedEntryLossReadsAsAbsentNotStale) {
-  // The threaded runtime draws the same (node, write-index) decision; a
-  // rule writes one mark at the homebase and terminates.
-  const graph::Graph g = graph::make_path(2);
-  sim::Network net(g, 0);
-  sim::ThreadedRuntime::Config cfg;
-  cfg.faults.events.push_back({fault::FaultKind::kWhiteboardLoss, 0, 0});
-  cfg.recovery.enabled = false;
-  sim::ThreadedRuntime runtime(net, cfg);
-  const auto report =
-      runtime.run(1, [](const sim::LocalView& view) {
-        view.whiteboard->set("mark", 9);
-        return sim::LocalDecision::terminate();
-      });
-
-  EXPECT_EQ(report.degradation.wb_entries_lost, 1u);
-  EXPECT_EQ(net.whiteboard(0).try_get("mark"), std::nullopt);
-  EXPECT_EQ(net.whiteboard(0).get("mark", 0), 0);
 }
 
 }  // namespace
