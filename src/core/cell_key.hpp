@@ -8,8 +8,7 @@
 // byte-stable JSON encoding (hcs::Json's writer) and an FNV-1a content
 // hash over it.
 //
-// Four subsystems route their identity through this one type:
-//   * ckpt       -- Session's snapshot fingerprint (core/session.cpp)
+// Three subsystems route their identity through this one type:
 //   * run/sweep  -- sweep resume fingerprints (run/sweep_ckpt.cpp), built
 //                   from run::sweep_cell_key per grid point
 //   * fuzz       -- artifact content hashes (fuzz/cell.cpp CellSpec::key)
@@ -18,8 +17,9 @@
 // The encoding is append-only and versioned by construction: every field
 // serializes, in fixed declaration order, so equal keys render byte-equal
 // and hash() is stable across processes and platforms. Pre-CellKey
-// fingerprints differ byte-wise; each consumer keeps a one-release legacy
-// reader (see docs/CHECKPOINT.md and DESIGN.md's deprecation policy).
+// fingerprints differ byte-wise and are no longer read: a pre-CellKey
+// sweep snapshot is refused as a fingerprint mismatch (DESIGN.md's
+// deprecation policy).
 //
 // The delay axis is a *label*, not a sampler: DelayModel is opaque, so the
 // key carries run::DelaySpec::label() strings ("unit", "uniform(0.2,3)",
@@ -39,8 +39,9 @@
 namespace hcs {
 
 /// Canonical names for the scheduling axes ("fifo"/"random",
-/// "atomic-arrival"/"vacate-on-departure"): the strings the fingerprint
-/// encoding, sweep CSV/JSON IO, and the serve protocol all share.
+/// "atomic-arrival"/"vacate-on-departure"): the strings the CellKey
+/// encoding, sweep CSV/JSON IO, fuzz artifacts and the serve protocol all
+/// share.
 [[nodiscard]] const char* wake_policy_name(sim::WakePolicy policy);
 [[nodiscard]] const char* move_semantics_name(sim::MoveSemantics semantics);
 /// False (out untouched) when `name` is not a canonical axis name.
@@ -63,13 +64,12 @@ struct CellKey {
   std::uint64_t livelock_window = 1'000'000;
   fault::FaultSpec faults;
   fault::RecoveryConfig recovery;
-  /// Requested executor (may be kAuto; consumers that need the *resolved*
-  /// engine -- e.g. the ckpt fingerprint -- set kEvent/kMacro explicitly).
+  /// Requested executor (may be kAuto).
   sim::EngineKind engine = sim::EngineKind::kEvent;
 
   /// The identity tuple of a (strategy, dimension, options) run as Session
   /// would execute it. Copies every identity-relevant RunOptions field;
-  /// non-identity fields (trace, obs, checkpoint_*) are ignored. The delay
+  /// non-identity fields (trace, obs, shards) are ignored. The delay
   /// label degrades to "unit"/"sampled" because DelayModel is opaque.
   [[nodiscard]] static CellKey from_options(std::string_view strategy,
                                             unsigned dimension,
@@ -80,7 +80,7 @@ struct CellKey {
   [[nodiscard]] Json to_json() const;
   /// to_json().dump() -- the canonical byte encoding.
   [[nodiscard]] std::string canonical() const;
-  /// fnv1a64_hex(canonical()): the 16-hex-digit content hash that ckpt
+  /// fnv1a64_hex(canonical()): the 16-hex-digit content hash that sweep
   /// fingerprints, fuzz artifact names and the serve cache key all use.
   [[nodiscard]] std::string hash() const;
 

@@ -23,6 +23,10 @@
 //    sim-time spans ("level k" on track "sim/levels") are derived from the
 //    status-change events, so profiles show the cleaning wave climbing the
 //    levels even for strategies with no hand-placed phase marks.
+//
+// A single run is not checkpointed. It is a pure function of its
+// hcs::CellKey, so the way to resume one is to run it again; sweeps and
+// fuzz campaigns checkpoint whole cells (docs/CHECKPOINT.md).
 
 #pragma once
 
@@ -36,10 +40,6 @@
 #include "sim/trace.hpp"
 
 namespace hcs {
-
-/// Internal checkpoint driver state shared between Session::run/save/
-/// restore and the engine hook (defined in session.cpp).
-struct SessionCkpt;
 
 struct SessionConfig {
   /// Hypercube dimension d; strategies search build_graph(d).
@@ -66,56 +66,6 @@ class Session {
     return run(core::strategy_name(kind));
   }
 
-  // --- checkpoint / restore (src/ckpt, docs/CHECKPOINT.md) -------------
-  //
-  // With options.checkpoint_dir set, run() is resumable: it commits a
-  // crash-consistent snapshot of the full observable engine state every
-  // checkpoint_every_steps agent steps, and on entry restores from the
-  // newest valid snapshot in the directory -- a deterministic replay to
-  // the snapshot's step frontier whose reconstructed state is byte-
-  // verified against the stored document before the run continues.
-  // Event-engine runs only: macro runs take no mid-run snapshots (the
-  // sweep layer checkpoints them at cell granularity instead).
-
-  struct SaveReport {
-    /// A snapshot was committed (false when the run finished first).
-    bool saved = false;
-    std::uint64_t seq = 0;      ///< store sequence of the snapshot
-    std::uint64_t at_step = 0;  ///< boundary step the snapshot captured
-    /// The run reached its natural end before `at_step`; `outcome` is the
-    /// complete result. When false the run paused at the boundary and
-    /// `outcome` holds partial totals only.
-    bool completed = false;
-    core::SimOutcome outcome;
-  };
-
-  struct RestoreReport {
-    bool had_snapshot = false;  ///< a snapshot parsed and was considered
-    std::uint64_t seq = 0;
-    std::uint64_t from_step = 0;  ///< step frontier replayed to
-    /// Newer snapshots skipped over checksum/parse failures (torn writes).
-    std::uint64_t corrupt_skipped = 0;
-    /// Snapshot was for a different (strategy, dimension, options) run and
-    /// was ignored; the run started fresh.
-    bool fingerprint_mismatch = false;
-    /// Replay reached the frontier and the reconstructed state
-    /// byte-matched the snapshot document.
-    bool verified = false;
-  };
-
-  /// Runs `strategy_name` until the first checkpoint boundary at or after
-  /// `at_step`, commits one snapshot into options.checkpoint_dir, and
-  /// pauses. Requires a non-empty checkpoint_dir and at_step >= 1.
-  SaveReport save(std::string_view strategy_name, std::uint64_t at_step);
-
-  /// Completes a checkpointed run: restores from the newest valid
-  /// snapshot (falling back past torn ones), byte-verifies the replay at
-  /// the frontier, then runs to the end -- committing further snapshots
-  /// on the way. With no usable snapshot this is a plain checkpointed
-  /// run. Requires a non-empty checkpoint_dir.
-  core::SimOutcome restore(std::string_view strategy_name,
-                           RestoreReport* report = nullptr);
-
   [[nodiscard]] const SessionConfig& config() const { return config_; }
   [[nodiscard]] SessionConfig& config() { return config_; }
 
@@ -125,9 +75,6 @@ class Session {
   [[nodiscard]] sim::Trace take_trace() { return std::move(trace_); }
 
  private:
-  core::SimOutcome run_impl(std::string_view strategy_name,
-                            SessionCkpt* ckpt);
-
   SessionConfig config_;
   sim::Trace trace_;
 };

@@ -94,8 +94,8 @@ bool parse_campaign_axes(const Json& json, CampaignAxes* out,
   // Optional, and -- unlike engine_oracle -- absent means *off*: a
   // manifest written before the shard axis existed never drew it, and
   // resuming or replaying that campaign must regenerate bit-identical
-  // cells (the legacy-corpus dedup depends on it). Fresh manifests carry
-  // the field explicitly, so only pre-shard-axis corpora take this path.
+  // cells. Fresh manifests carry the field explicitly, so only
+  // pre-shard-axis corpora take this path.
   axes.shard_oracle = false;
   if (const Json* shard_oracle = json.get("shard_oracle");
       shard_oracle != nullptr) {
@@ -467,12 +467,7 @@ CampaignOutcome CampaignRunner::run(Manifest manifest,
       record.iteration = base + i;
       record.signature = original.signature;
       record.hash = specs[i].content_hash();
-      if (manifest.has_corpus_hash(specs[i].legacy_content_hash())) {
-        // A pre-CellKey corpus indexes this cell under its legacy hash;
-        // keep referencing the existing artifact instead of duplicating
-        // it under the new name.
-        record.hash = specs[i].legacy_content_hash();
-      } else if (!manifest.has_corpus_hash(record.hash)) {
+      if (!manifest.has_corpus_hash(record.hash)) {
         write_json_file(original.to_json(),
                         config_.corpus_dir + "/" + original.file_name());
         manifest.corpus.push_back(record.hash);
@@ -489,9 +484,7 @@ CampaignOutcome CampaignRunner::run(Manifest manifest,
           minimal.failures = min.failures;
           minimal.minimized = true;
           record.minimized_hash = min.minimized.content_hash();
-          if (manifest.has_corpus_hash(min.minimized.legacy_content_hash())) {
-            record.minimized_hash = min.minimized.legacy_content_hash();
-          } else if (!manifest.has_corpus_hash(record.minimized_hash)) {
+          if (!manifest.has_corpus_hash(record.minimized_hash)) {
             write_json_file(minimal.to_json(),
                             config_.corpus_dir + "/" + minimal.file_name());
             manifest.corpus.push_back(record.minimized_hash);

@@ -84,12 +84,6 @@ struct Artifact {
   [[nodiscard]] std::string file_name() const {
     return "art_" + cell.content_hash() + ".json";
   }
-  /// The file name a pre-CellKey campaign gave this cell. Committed
-  /// corpora keep their legacy names (renaming would churn every
-  /// artifact); the runner dedups against both (one release, DESIGN.md).
-  [[nodiscard]] std::string legacy_file_name() const {
-    return "art_" + cell.legacy_content_hash() + ".json";
-  }
 };
 
 [[nodiscard]] bool parse_artifact(const Json& json, Artifact* out,

@@ -7,6 +7,7 @@
 
 #include <optional>
 
+#include "ckpt/outcome_io.hpp"
 #include "core/strategy_registry.hpp"
 #include "fault/fault_io.hpp"
 #include "graph/graph.hpp"
@@ -32,50 +33,6 @@ const char* delay_kind_name(run::DelaySpec::Kind kind) {
     case run::DelaySpec::Kind::kHeavyTailed: return "heavy-tailed";
   }
   return "?";
-}
-
-bool delay_kind_parse(std::string_view name, run::DelaySpec::Kind* out) {
-  for (const auto kind :
-       {run::DelaySpec::Kind::kUnit, run::DelaySpec::Kind::kUniform,
-        run::DelaySpec::Kind::kHeavyTailed}) {
-    if (name == delay_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool policy_parse(std::string_view name, sim::WakePolicy* out) {
-  for (const auto policy : {sim::WakePolicy::kFifo, sim::WakePolicy::kRandom}) {
-    if (name == run::to_string(policy)) {
-      *out = policy;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool semantics_parse(std::string_view name, sim::MoveSemantics* out) {
-  for (const auto semantics : {sim::MoveSemantics::kAtomicArrival,
-                               sim::MoveSemantics::kVacateOnDeparture}) {
-    if (name == run::to_string(semantics)) {
-      *out = semantics;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool engine_parse(std::string_view name, sim::EngineKind* out) {
-  for (const auto engine : {sim::EngineKind::kEvent, sim::EngineKind::kMacro,
-                            sim::EngineKind::kAuto}) {
-    if (name == sim::to_string(engine)) {
-      *out = engine;
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Everything one engine execution yields that the oracle judges.
@@ -468,8 +425,8 @@ Json CellSpec::to_json() const {
   j.set("dimension", static_cast<std::uint64_t>(dimension));
   j.set("seed", seed);
   j.set("delay", std::move(delay_json));
-  j.set("policy", run::to_string(policy));
-  j.set("semantics", run::to_string(semantics));
+  j.set("policy", wake_policy_name(policy));
+  j.set("semantics", move_semantics_name(semantics));
   j.set("faults", fault::fault_spec_json(faults));
   j.set("recovery", fault::recovery_config_json(recovery));
   j.set("max_agent_steps", max_agent_steps);
@@ -514,10 +471,6 @@ std::string CellSpec::content_hash() const {
   return fnv1a64_hex(id.dump());
 }
 
-std::string CellSpec::legacy_content_hash() const {
-  return fnv1a64_hex(canonical());
-}
-
 bool parse_cell_spec(const Json& json, CellSpec* out, std::string* error) {
   if (!json.is_object()) return fail(error, "cell spec is not an object");
   CellSpec spec;
@@ -547,30 +500,17 @@ bool parse_cell_spec(const Json& json, CellSpec* out, std::string* error) {
   spec.seed = seed->as_uint();
 
   const Json* delay = json.get("delay");
-  if (delay == nullptr || !delay->is_object()) {
-    return fail(error, "cell missing \"delay\"");
-  }
-  const Json* delay_kind = delay->get("kind");
-  if (delay_kind == nullptr || !delay_kind->is_string() ||
-      !delay_kind_parse(delay_kind->as_string(), &spec.delay.kind)) {
-    return fail(error, "unknown delay kind");
-  }
-  const Json* lo = delay->get("lo");
-  const Json* hi = delay->get("hi");
-  if (lo == nullptr || !lo->is_number() || hi == nullptr || !hi->is_number()) {
-    return fail(error, "delay missing lo/hi");
-  }
-  spec.delay.lo = lo->as_double();
-  spec.delay.hi = hi->as_double();
+  if (delay == nullptr) return fail(error, "cell missing \"delay\"");
+  if (!run::parse_delay(*delay, &spec.delay, error)) return false;
 
   const Json* policy = json.get("policy");
   if (policy == nullptr || !policy->is_string() ||
-      !policy_parse(policy->as_string(), &spec.policy)) {
+      !wake_policy_from_name(policy->as_string(), &spec.policy)) {
     return fail(error, "unknown wake policy");
   }
   const Json* semantics = json.get("semantics");
   if (semantics == nullptr || !semantics->is_string() ||
-      !semantics_parse(semantics->as_string(), &spec.semantics)) {
+      !move_semantics_from_name(semantics->as_string(), &spec.semantics)) {
     return fail(error, "unknown move semantics");
   }
 
@@ -614,7 +554,7 @@ bool parse_cell_spec(const Json& json, CellSpec* out, std::string* error) {
   // Optional: absent in pre-engine-axis artifacts, which ran kEvent only.
   if (const Json* engine = json.get("engine"); engine != nullptr) {
     if (!engine->is_string() ||
-        !engine_parse(engine->as_string(), &spec.engine)) {
+        !ckpt::engine_kind_from_string(engine->as_string(), &spec.engine)) {
       return fail(error, "unknown engine kind");
     }
   }

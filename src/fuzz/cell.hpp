@@ -121,10 +121,6 @@ struct CellSpec {
   /// (16 hex digits) over {cell: key(), expect, differential} in canonical
   /// JSON.
   [[nodiscard]] std::string content_hash() const;
-  /// The pre-CellKey hash (FNV-1a 64 of canonical()). Kept one release so
-  /// existing corpora dedup correctly against legacy-named artifacts; see
-  /// DESIGN.md's deprecation policy.
-  [[nodiscard]] std::string legacy_content_hash() const;
 };
 
 [[nodiscard]] bool parse_cell_spec(const Json& json, CellSpec* out,

@@ -16,8 +16,10 @@
 //   hcs::core       -- the four paper strategies + baselines, the strategy
 //                      registry, closed-form cost formulas, Session
 //   hcs::run        -- parameter sweeps across a worker pool + CSV/JSON IO
-//   hcs::ckpt       -- crash-consistent checkpoint/restore (sealed blobs,
-//                      the snapshot store, outcome serialization)
+//   hcs::ckpt       -- crash-consistent sweep and fuzz-campaign
+//                      checkpoints (sealed blobs, the snapshot store,
+//                      outcome serialization); single runs are not
+//                      checkpointed -- rerunning one reproduces it
 //   hcs::fault      -- fault injection specs and recovery policies
 //   hcs::intruder   -- adversarial intruder models for capture checks
 //   hcs::obs        -- counters/gauges/histograms/spans + trace exporters
@@ -26,7 +28,8 @@
 //
 // Entry points, preferred first:
 //   hcs::Session               one configured run, any registered strategy
-//   hcs::run::SweepRunner      a grid of runs across worker threads
+//   hcs::run::SweepRunner      a grid of runs across worker threads,
+//                              resumable with a checkpoint_dir
 //   hcs::core::run_strategy_sim  historical one-call harness (forwards to
 //                                Session; string-keyed only)
 

@@ -1,6 +1,7 @@
 #include "run/sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -11,6 +12,7 @@
 #include "run/batch.hpp"
 #include "run/sweep_ckpt.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 
 namespace hcs::run {
 
@@ -45,20 +47,62 @@ std::string DelaySpec::label() const {
   return "?";
 }
 
-const char* to_string(sim::Engine::WakePolicy policy) {
-  switch (policy) {
-    case sim::Engine::WakePolicy::kFifo: return "fifo";
-    case sim::Engine::WakePolicy::kRandom: return "random";
+bool parse_delay(const Json& json, DelaySpec* out, std::string* error) {
+  const auto fail = [error](std::string what) {
+    if (error != nullptr) *error = std::move(what);
+    return false;
+  };
+  if (json.is_string()) {
+    const std::string& name = json.as_string();
+    if (name == "unit") {
+      *out = DelaySpec::unit();
+      return true;
+    }
+    if (name == "heavy-tailed") {
+      *out = DelaySpec::heavy_tailed();
+      return true;
+    }
+    return fail("unknown delay shorthand \"" + name +
+                "\" (use \"unit\", \"heavy-tailed\", or a {kind,lo,hi} "
+                "object)");
   }
-  return "?";
-}
-
-const char* to_string(sim::MoveSemantics semantics) {
-  switch (semantics) {
-    case sim::MoveSemantics::kAtomicArrival: return "atomic-arrival";
-    case sim::MoveSemantics::kVacateOnDeparture: return "vacate-on-departure";
+  if (!json.is_object()) {
+    return fail("\"delay\" must be a string shorthand or an object");
   }
-  return "?";
+  const Json* kind = json.get("kind");
+  if (kind == nullptr || !kind->is_string()) {
+    return fail("delay object missing string \"kind\"");
+  }
+  DelaySpec spec;
+  const std::string& name = kind->as_string();
+  if (name == "uniform") {
+    spec.kind = DelaySpec::Kind::kUniform;
+  } else if (name == "heavy-tailed") {
+    spec.kind = DelaySpec::Kind::kHeavyTailed;
+  } else if (name != "unit") {
+    return fail("unknown delay kind \"" + name + "\"");
+  }
+  const Json* lo = json.get("lo");
+  const Json* hi = json.get("hi");
+  if ((lo != nullptr && !lo->is_number()) ||
+      (hi != nullptr && !hi->is_number())) {
+    return fail("delay \"lo\" and \"hi\" must be numbers");
+  }
+  if (lo != nullptr) spec.lo = lo->as_double();
+  if (hi != nullptr) spec.hi = hi->as_double();
+  if (spec.kind == DelaySpec::Kind::kUniform) {
+    if (lo == nullptr || hi == nullptr) {
+      return fail("uniform delay needs numeric \"lo\" and \"hi\"");
+    }
+    // DelayModel::uniform requires 0 < lo < hi; reject here so bad input
+    // is a diagnostic, not a precondition abort.
+    if (!std::isfinite(spec.lo) || !std::isfinite(spec.hi) ||
+        spec.lo <= 0.0 || spec.lo >= spec.hi) {
+      return fail("uniform delay needs 0 < lo < hi");
+    }
+  }
+  *out = spec;
+  return true;
 }
 
 std::size_t SweepSpec::num_cells() const {
@@ -150,13 +194,9 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
   std::string error;
   if (std::optional<ckpt::LoadedSnapshot> snap = store.load_latest(&error)) {
     // A snapshot of a *different* sweep (or a parse failure) starts the
-    // grid from scratch rather than poisoning it. Pre-CellKey snapshots
-    // carry the legacy spec fingerprint; accept those too (one release,
-    // see DESIGN.md).
+    // grid afresh rather than poisoning it.
     if (!parse_sweep_snapshot(snap->doc, fingerprint, result.cells.size(),
-                              &done, &error) &&
-        !parse_sweep_snapshot(snap->doc, legacy_sweep_spec_fingerprint(spec),
-                              result.cells.size(), &done, &error)) {
+                              &done, &error)) {
       done.clear();
     }
   }

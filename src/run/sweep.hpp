@@ -27,6 +27,10 @@
 #include "obs/obs.hpp"
 #include "util/stats.hpp"
 
+namespace hcs {
+class Json;  // util/json.hpp
+}  // namespace hcs
+
 namespace hcs::run {
 
 /// A serializable description of a DelayModel (DelayModel itself is an
@@ -48,8 +52,15 @@ struct DelaySpec {
   [[nodiscard]] std::string label() const;
 };
 
-[[nodiscard]] const char* to_string(sim::Engine::WakePolicy policy);
-[[nodiscard]] const char* to_string(sim::MoveSemantics semantics);
+/// The one reader of a delay from untrusted JSON (hcsd requests and fuzz
+/// artifacts): a "unit" / "heavy-tailed" shorthand string, or an object
+/// {"kind", "lo", "hi"}. "lo" and "hi" must be numbers where present; a
+/// uniform delay needs both, finite, with 0 < lo < hi (DelayModel's
+/// precondition), and the other kinds keep them as given so a parsed
+/// document re-serializes unchanged. Returns false with a diagnostic
+/// instead of aborting; `out` is untouched then.
+[[nodiscard]] bool parse_delay(const Json& json, DelaySpec* out,
+                               std::string* error = nullptr);
 
 /// The cartesian grid. Axis order (slowest to fastest varying in the cell
 /// enumeration): strategies, dimensions, seeds, delays, policies,

@@ -4,7 +4,6 @@
 
 #include "ckpt/outcome_io.hpp"
 #include "core/strategy_registry.hpp"
-#include "fault/fault_io.hpp"
 
 namespace hcs::run {
 
@@ -49,48 +48,6 @@ std::string sweep_spec_fingerprint(const SweepSpec& spec) {
     cells.push_back(sweep_cell_key(spec, i).hash());
   }
   id.set("cells", std::move(cells));
-  return fnv1a64_hex(id.dump());
-}
-
-std::string legacy_sweep_spec_fingerprint(const SweepSpec& spec) {
-  Json id = Json::object();
-  Json strategies = Json::array();
-  for (const std::string& name : spec.strategies) {
-    // Canonical registry casing, so "clean" and "CLEAN" name the same grid.
-    strategies.push_back(core::StrategyRegistry::instance().get(name).name());
-  }
-  id.set("strategies", std::move(strategies));
-  Json dimensions = Json::array();
-  for (const unsigned d : spec.dimensions) {
-    dimensions.push_back(std::uint64_t{d});
-  }
-  id.set("dimensions", std::move(dimensions));
-  Json seeds = Json::array();
-  for (const std::uint64_t seed : spec.seeds) seeds.push_back(seed);
-  id.set("seeds", std::move(seeds));
-  Json delays = Json::array();
-  for (const DelaySpec& delay : spec.delays) delays.push_back(delay.label());
-  id.set("delays", std::move(delays));
-  Json policies = Json::array();
-  for (const auto policy : spec.policies) {
-    policies.push_back(to_string(policy));
-  }
-  id.set("policies", std::move(policies));
-  Json semantics = Json::array();
-  for (const auto sem : spec.semantics) semantics.push_back(to_string(sem));
-  id.set("semantics", std::move(semantics));
-  Json faults = Json::array();
-  for (const fault::FaultSpec& f : spec.faults) {
-    faults.push_back(fault::fault_spec_json(f));
-  }
-  id.set("faults", std::move(faults));
-  Json engines = Json::array();
-  for (const sim::EngineKind engine : spec.engines) {
-    engines.push_back(sim::to_string(engine));
-  }
-  id.set("engines", std::move(engines));
-  id.set("recovery", fault::recovery_config_json(spec.recovery));
-  id.set("max_agent_steps", spec.max_agent_steps);
   return fnv1a64_hex(id.dump());
 }
 

@@ -7,9 +7,9 @@
 // function of it), fills in the stored outcomes, and re-runs only the
 // missing indices; because every cell is independently deterministic, the
 // resumed sweep's CSV/JSON output is byte-identical to an uninterrupted
-// run's. This is the durability layer that covers macro cells too: run-
-// level snapshots are event-engine only, but a sweep checkpoints whole
-// outcomes regardless of which executor produced them.
+// run's. Single runs are not checkpointed (a run is a pure function of its
+// CellKey; resuming one means running it again), so this is the layer
+// that makes long work resumable, for cells of either executor.
 
 #pragma once
 
@@ -37,11 +37,6 @@ namespace hcs::run {
 /// the same runs in the same order. Snapshots with a different fingerprint
 /// (or cell count) belong to a different grid and are ignored on resume.
 [[nodiscard]] std::string sweep_spec_fingerprint(const SweepSpec& spec);
-
-/// The pre-CellKey spec fingerprint (per-axis arrays instead of per-cell
-/// keys). Kept one release so sweep snapshots written before the CellKey
-/// migration still resume; see DESIGN.md's deprecation policy.
-[[nodiscard]] std::string legacy_sweep_spec_fingerprint(const SweepSpec& spec);
 
 /// The snapshot document: {"kind":"sweep","version":1,"fingerprint":...,
 /// "cells":N,"done":[{"index":i,"outcome":{...}},...]} with `done` in

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/cell_key.hpp"
 #include "obs/export.hpp"
 #include "util/csv.hpp"
 #include "util/strfmt.hpp"
@@ -45,8 +46,8 @@ std::vector<std::string> cell_values(const SweepCell& cell,
           std::to_string(cell.dimension),
           std::to_string(cell.seed),
           cell.delay.label(),
-          to_string(cell.policy),
-          to_string(cell.semantics),
+          wake_policy_name(cell.policy),
+          move_semantics_name(cell.semantics),
           cell.faults.label(),
           sim::to_string(cell.engine),
           sim::to_string(o.engine_used),
@@ -175,7 +176,7 @@ Table sweep_cells_table(const SweepResult& result) {
     const core::SimOutcome& o = cell.outcome;
     t.add_row({cell.strategy, std::to_string(cell.dimension),
                std::to_string(cell.seed), cell.delay.label(),
-               to_string(cell.policy), cell.faults.label(),
+               wake_policy_name(cell.policy), cell.faults.label(),
                sim::to_string(o.engine_used),
                with_commas(o.team_size),
                with_commas(o.total_moves), fixed(o.makespan, 0),

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "ckpt/outcome_io.hpp"
@@ -23,58 +22,6 @@ const Json* get_uint(const Json& json, const char* key) {
   const Json* member = json.get(key);
   if (member == nullptr || member->type() != Json::Type::kUint) return nullptr;
   return member;
-}
-
-bool parse_delay(const Json& json, run::DelaySpec* out, std::string* error) {
-  if (json.is_string()) {
-    const std::string& name = json.as_string();
-    if (name == "unit") {
-      *out = run::DelaySpec::unit();
-      return true;
-    }
-    if (name == "heavy-tailed") {
-      *out = run::DelaySpec::heavy_tailed();
-      return true;
-    }
-    return fail(error, "unknown delay shorthand \"" + name +
-                           "\" (use \"unit\", \"heavy-tailed\", or a "
-                           "{kind,lo,hi} object)");
-  }
-  if (!json.is_object()) {
-    return fail(error, "\"delay\" must be a string shorthand or an object");
-  }
-  const Json* kind = json.get("kind");
-  if (kind == nullptr || !kind->is_string()) {
-    return fail(error, "delay object missing string \"kind\"");
-  }
-  const std::string& name = kind->as_string();
-  if (name == "unit") {
-    *out = run::DelaySpec::unit();
-    return true;
-  }
-  if (name == "heavy-tailed") {
-    *out = run::DelaySpec::heavy_tailed();
-    return true;
-  }
-  if (name != "uniform") {
-    return fail(error, "unknown delay kind \"" + name + "\"");
-  }
-  const Json* lo = json.get("lo");
-  const Json* hi = json.get("hi");
-  if (lo == nullptr || !lo->is_number() || hi == nullptr ||
-      !hi->is_number()) {
-    return fail(error, "uniform delay needs numeric \"lo\" and \"hi\"");
-  }
-  const double lo_v = lo->as_double();
-  const double hi_v = hi->as_double();
-  // DelayModel::uniform requires 0 < lo < hi; reject here so bad input is
-  // a diagnostic, not a precondition abort.
-  if (!std::isfinite(lo_v) || !std::isfinite(hi_v) || lo_v <= 0.0 ||
-      lo_v >= hi_v) {
-    return fail(error, "uniform delay needs 0 < lo < hi");
-  }
-  *out = run::DelaySpec::uniform(lo_v, hi_v);
-  return true;
 }
 
 bool parse_cell(const Json& json, Request* out, std::string* error) {
@@ -103,7 +50,7 @@ bool parse_cell(const Json& json, Request* out, std::string* error) {
       }
       out->key.seed = value.as_uint();
     } else if (name == "delay") {
-      if (!parse_delay(value, &out->delay, error)) return false;
+      if (!run::parse_delay(value, &out->delay, error)) return false;
       out->key.delay = out->delay.label();
     } else if (name == "policy") {
       if (!value.is_string() ||

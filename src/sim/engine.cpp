@@ -95,14 +95,7 @@ graph::Vertex Engine::agent_position(AgentId a) const {
 [[gnu::flatten]]
 #endif
 void Engine::run_to_quiescence() {
-  while (abort_reason_ == AbortReason::kNone && !stop_requested_) {
-    // Checkpoint boundary: between agent steps only, keyed on the logical
-    // step counter so the points are deterministic across runs.
-    if (ckpt_every_ != 0 && steps_taken_ >= ckpt_next_) {
-      ckpt_next_ += ckpt_every_;
-      if (ckpt_hook_) ckpt_hook_(*this);
-      continue;  // re-check the stop flag the hook may have set
-    }
+  while (abort_reason_ == AbortReason::kNone) {
     if (runnable_count() != 0) {
       if (steps_taken_ >= cfg_.max_agent_steps) {
         abort_reason_ = AbortReason::kStepCap;
@@ -145,22 +138,7 @@ Engine::RunResult Engine::run() {
   // loop already maintains steps_taken_ for the step-cap/livelock guards.
   const std::uint64_t steps_before = steps_taken_;
 
-  stop_requested_ = false;
   run_to_quiescence();
-  if (stop_requested_) {
-    // Paused at a checkpoint boundary: settle only the step accounting
-    // (the counter deltas sum correctly across resumed segments) and skip
-    // recovery / obs flush / finalization -- the next run() call picks the
-    // schedule up exactly here and does them once, at the real end.
-    net_->metrics().agent_steps += steps_taken_ - steps_before;
-    RunResult paused;
-    paused.paused = true;
-    paused.abort_reason = abort_reason_;
-    paused.end_time = now_;
-    paused.capture_time = capture_time_;
-    paused.degradation = degradation_;
-    return paused;
-  }
   if (fault_sched_.active() && cfg_.recovery.enabled) run_recovery();
   net_->metrics().agent_steps += steps_taken_ - steps_before;
 
@@ -241,12 +219,6 @@ void Engine::run_recovery() {
   // dispatches one repair wave over the dirty region; the retry budget is
   // bounded and the timeout backs off every round.
   obs::Span recovery_span(cfg_.obs, "engine.recovery");
-  // Checkpoint boundaries fire only in the primary dispatch phase: a pause
-  // inside a repair round could not resume the round's local backoff
-  // state, so the recovery tail runs as one uninterruptible unit (it is
-  // deterministic and replays identically from the last boundary).
-  const std::uint64_t ckpt_every = ckpt_every_;
-  ckpt_every_ = 0;
   double timeout = cfg_.recovery.detect_timeout;
   while (abort_reason_ == AbortReason::kNone &&
          (!net_->all_clean() || !dropped_wake_nodes_.empty() ||
@@ -305,7 +277,6 @@ void Engine::run_recovery() {
   if (net_->all_clean()) {
     degradation_.faults_recovered += degradation_.crashes_detected;
   }
-  ckpt_every_ = ckpt_every;
 }
 
 AgentId Engine::pick_runnable() {
@@ -359,7 +330,9 @@ void Engine::step_agent(AgentId a) {
       const bool faultable = fault_sched_.active() && !rec.fault_exempt;
       if (action.dest.has_value()) {
         to = *action.dest;
-        if (!net_->graph().has_edge(from, to)) {
+        // Range check first: has_edge requires both ends to be vertices,
+        // and a corrupted whiteboard value can name one past the cube.
+        if (to >= net_->num_nodes() || !net_->graph().has_edge(from, to)) {
           // With faults active, a non-neighbour destination is the
           // expected consequence of a protocol reading damaged whiteboard
           // state (destinations are whiteboard-derived in every paper

@@ -34,10 +34,6 @@
 #include "sim/wb_journal.hpp"
 #include "util/rng.hpp"
 
-namespace hcs {
-class Json;  // util/json.hpp; engine.hpp stays off the hot-path includes
-}  // namespace hcs
-
 namespace hcs::sim {
 
 class Engine {
@@ -68,11 +64,6 @@ class Engine {
     SimTime capture_time = -1.0;
     /// Fault accounting; all zeros for fault-free runs.
     fault::DegradationReport degradation;
-    /// The run stopped at a checkpoint boundary (request_stop()), not at
-    /// quiescence: recovery, metrics finalization and the obs flush were
-    /// all skipped, and calling run() again resumes exactly where the
-    /// dispatch loop left off.
-    bool paused = false;
 
     [[nodiscard]] bool aborted() const {
       return abort_reason != AbortReason::kNone;
@@ -117,42 +108,6 @@ class Engine {
   [[nodiscard]] fault::FaultSchedule& fault_schedule() {
     return fault_sched_;
   }
-
-  // --- checkpointing (src/ckpt, docs/CHECKPOINT.md) --------------------
-
-  /// Agent steps executed so far, across runs; the logical clock every
-  /// checkpoint boundary is keyed on.
-  [[nodiscard]] std::uint64_t steps_taken() const { return steps_taken_; }
-
-  /// Fires `hook` from the dispatch loop whenever steps_taken() crosses a
-  /// multiple of `every` (never mid-step, never during pure event
-  /// processing with no steps in between) -- deterministic points keyed on
-  /// the logical step counter, the same discipline the fault schedule
-  /// uses. `every` == 0 disables. The hook may call request_stop() to
-  /// pause the run at that boundary.
-  void set_checkpoint_hook(std::uint64_t every,
-                           std::function<void(Engine&)> hook) {
-    ckpt_every_ = every;
-    ckpt_next_ = every;
-    ckpt_hook_ = std::move(hook);
-  }
-
-  /// Cooperative stop: the dispatch loop exits at the next boundary check
-  /// and run() returns with RunResult::paused set. Cleared on the next
-  /// run() call, which resumes the schedule exactly where it stopped.
-  void request_stop() { stop_requested_ = true; }
-
-  /// The full observable simulation state as one canonical Json document:
-  /// engine scheduling state (agents, queues, event heap, logical
-  /// counters, RNG stream), network state (statuses, whiteboards,
-  /// metrics), fault journal and degradation tallies. Deterministic --
-  /// whiteboard/journal entries are keyed by name, not by process-local
-  /// intern id -- so two runs that took the same steps dump byte-equal
-  /// documents; the restorer's verified replay relies on that. The agent
-  /// *logic* objects (arbitrary state machines behind unique_ptr) are not
-  /// serialized; restore re-executes deterministically to this frontier
-  /// and byte-verifies against this document instead.
-  [[nodiscard]] Json checkpoint_state() const;
 
  private:
   friend class AgentContext;
@@ -263,12 +218,6 @@ class Engine {
   std::vector<AgentId> wake_scratch_;
   std::vector<AgentId> wake_global_scratch_;
   bool in_wake_ = false;
-
-  // --- checkpointing ---
-  std::uint64_t ckpt_every_ = 0;
-  std::uint64_t ckpt_next_ = 0;
-  std::function<void(Engine&)> ckpt_hook_;
-  bool stop_requested_ = false;
 
   // --- fault machinery (all empty/idle when the schedule is inactive) ---
   std::vector<std::function<bool(AgentId)>> crash_observers_;

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
@@ -75,23 +74,13 @@ struct RunOptions {
   /// runner); the event Engine itself ignores it. kEvent preserves the
   /// historical behaviour for every existing call site.
   EngineKind engine = EngineKind::kEvent;
-  /// Snapshot directory for crash-consistent checkpointing (src/ckpt,
-  /// docs/CHECKPOINT.md). Empty (the default) disables checkpointing
-  /// entirely; applied by the harness layers (Session / sweep runner), the
-  /// Engine itself only sees the hook they install.
-  std::string checkpoint_dir;
-  /// Agent steps between snapshot commits for run-level checkpointing
-  /// (event engine only; macro runs checkpoint at run boundaries).
-  std::uint64_t checkpoint_every_steps = 1'000'000;
-  /// Snapshots retained per store directory (minimum 2: one torn newest
-  /// file must always leave a good predecessor).
-  std::uint32_t checkpoint_keep = 3;
   /// Subcube shards for the macro executor's fast path (sim/shard.hpp):
   /// 1 = one shard, every tick on the fused loop (the default), 0 = auto
   /// (min(hardware threads, 2^(d-10))), N = round down to a power of two.
   /// Purely an execution detail -- results are byte-identical at any value
-  /// and it never enters hcs::CellKey, ckpt fingerprints or the hcsd cache
-  /// key. The event engine ignores it.
+  /// and it never enters hcs::CellKey (so neither sweep-snapshot
+  /// fingerprints nor the hcsd cache key see it). The event engine
+  /// ignores it.
   std::uint32_t shards = 1;
 };
 

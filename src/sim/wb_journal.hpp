@@ -76,22 +76,6 @@ class WbJournal {
     return out;
   }
 
-  /// Non-destructive copy of every journaled entry in the same
-  /// deterministic order drain() uses. Checkpoint serialization reads the
-  /// journal mid-run without disturbing pending repairs.
-  [[nodiscard]] std::vector<Entry> entries() const {
-    std::vector<Entry> out;
-    out.reserve(live_);
-    for (graph::Vertex v = 0; v < per_node_.size(); ++v) {
-      for (const KV& kv : per_node_[v]) out.push_back({v, kv.key, kv.value});
-    }
-    std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-      if (a.node != b.node) return a.node < b.node;
-      return wb_key_name(a.key) < wb_key_name(b.key);
-    });
-    return out;
-  }
-
  private:
   struct KV {
     WbKey key;

@@ -136,14 +136,6 @@ class Whiteboard {
 
   void clear() { entries_.clear(); }
 
-  /// Visits every live entry in key-id order. Serialization-only walk (the
-  /// checkpoint layer re-sorts by key *name* so snapshots are independent
-  /// of process-local intern order).
-  template <typename Fn>
-  void for_each_entry(Fn&& fn) const {
-    for (const Entry& entry : entries_) fn(entry.key, entry.value);
-  }
-
   /// Installs (or clears, with an empty function) the fault write hook.
   void set_write_hook(WriteHook hook) { hook_ = std::move(hook); }
 

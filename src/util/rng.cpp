@@ -1,5 +1,7 @@
 #include "util/rng.hpp"
 
+#include "util/assert.hpp"
+
 namespace hcs {
 
 namespace {

@@ -9,11 +9,8 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <utility>
-
-#include "util/assert.hpp"
 
 namespace hcs {
 
@@ -81,21 +78,6 @@ class Rng {
 
   /// A new generator with an independent stream derived from this one.
   Rng fork();
-
-  /// The full 256-bit stream state, for checkpointing. set_state() with a
-  /// captured state resumes the stream exactly where state() observed it.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    // All-zero is the one invalid xoshiro256** state (the stream would be
-    // constant zero); the constructor never produces it.
-    HCS_EXPECTS(s[0] != 0 || s[1] != 0 || s[2] != 0 || s[3] != 0);
-    s_[0] = s[0];
-    s_[1] = s[1];
-    s_[2] = s[2];
-    s_[3] = s[3];
-  }
 
  private:
   std::uint64_t s_[4];

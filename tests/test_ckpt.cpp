@@ -1,8 +1,8 @@
 // hcs::ckpt unit suite: sealed-blob integrity, store retention and
-// torn-write fallback, SimOutcome round-tripping, and the Session-level
-// save/restore contract (deterministic replay byte-verified against the
-// snapshot). The cross-process kill-and-resume scenarios live in
-// test_ckpt_chaos.cpp; this file proves the layers underneath in-process.
+// torn-write fallback, SimOutcome round-tripping, sweep resume and fuzz
+// campaign state (single runs are not checkpointed). The cross-process
+// kill-and-resume scenarios live in test_ckpt_chaos.cpp; this file proves
+// the layers underneath in-process.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "ckpt/blob.hpp"
 #include "ckpt/outcome_io.hpp"
 #include "ckpt/store.hpp"
-#include "core/session.hpp"
 #include "fuzz/campaign.hpp"
 #include "gtest/gtest.h"
 #include "run/sweep.hpp"
@@ -237,103 +236,6 @@ TEST(CkptOutcome, EnumNamesRoundTrip) {
   }
   hcs::sim::AbortReason unused;
   EXPECT_FALSE(hcs::ckpt::abort_reason_from_string("no-such", &unused));
-}
-
-// --- Session save / restore ------------------------------------------
-
-hcs::SessionConfig session_config(const std::string& checkpoint_dir) {
-  hcs::SessionConfig config;
-  config.dimension = 6;
-  config.options.seed = 11;
-  config.options.checkpoint_dir = checkpoint_dir;
-  config.options.checkpoint_every_steps = 64;
-  return config;
-}
-
-TEST(CkptSession, SaveThenRestoreVerifiesAndMatchesUninterrupted) {
-  const hcs::core::SimOutcome plain =
-      hcs::Session(session_config("")).run("CLEAN");
-
-  const std::string dir = fresh_dir("session");
-  hcs::Session session(session_config(dir));
-  const hcs::Session::SaveReport saved = session.save("CLEAN", 200);
-  ASSERT_TRUE(saved.saved);
-  ASSERT_FALSE(saved.completed);
-  EXPECT_EQ(saved.at_step, 200u);
-
-  hcs::Session::RestoreReport report;
-  const hcs::core::SimOutcome restored = session.restore("CLEAN", &report);
-  EXPECT_TRUE(report.had_snapshot);
-  EXPECT_EQ(report.seq, saved.seq);
-  EXPECT_EQ(report.from_step, 200u);
-  EXPECT_TRUE(report.verified);
-  EXPECT_FALSE(report.fingerprint_mismatch);
-  EXPECT_EQ(hcs::ckpt::outcome_json(restored).dump(),
-            hcs::ckpt::outcome_json(plain).dump());
-}
-
-TEST(CkptSession, CheckpointedRunMatchesPlainRunAndCommits) {
-  const hcs::core::SimOutcome plain =
-      hcs::Session(session_config("")).run("CLEAN");
-  const std::string dir = fresh_dir("periodic");
-  const hcs::core::SimOutcome checkpointed =
-      hcs::Session(session_config(dir)).run("CLEAN");
-  EXPECT_EQ(hcs::ckpt::outcome_json(checkpointed).dump(),
-            hcs::ckpt::outcome_json(plain).dump());
-  // Periodic commits actually happened (CLEAN in H_6 takes >> 64 steps).
-  EXPECT_FALSE(hcs::ckpt::Store({dir}).list().empty());
-}
-
-TEST(CkptSession, SaveBeyondRunLengthCompletes) {
-  const std::string dir = fresh_dir("beyond");
-  hcs::Session session(session_config(dir));
-  const hcs::Session::SaveReport report =
-      session.save("CLEAN", 1'000'000'000);
-  EXPECT_TRUE(report.completed);
-  EXPECT_FALSE(report.saved);
-  EXPECT_TRUE(report.outcome.correct());
-}
-
-TEST(CkptSession, ForeignSnapshotIsIgnoredNotReplayed) {
-  const std::string dir = fresh_dir("foreign");
-  hcs::Session saver(session_config(dir));
-  ASSERT_TRUE(saver.save("CLEAN", 200).saved);
-
-  // Same store, different run identity (another seed): the snapshot's
-  // fingerprint cannot match, so restore starts fresh instead of
-  // replaying alien state.
-  hcs::SessionConfig other = session_config(dir);
-  other.options.seed = 12;
-  const hcs::core::SimOutcome plain = [&] {
-    hcs::SessionConfig no_ckpt = other;
-    no_ckpt.options.checkpoint_dir.clear();
-    return hcs::Session(no_ckpt).run("CLEAN");
-  }();
-  hcs::Session::RestoreReport report;
-  const hcs::core::SimOutcome restored =
-      hcs::Session(other).restore("CLEAN", &report);
-  EXPECT_TRUE(report.had_snapshot);
-  EXPECT_TRUE(report.fingerprint_mismatch);
-  EXPECT_FALSE(report.verified);
-  EXPECT_EQ(hcs::ckpt::outcome_json(restored).dump(),
-            hcs::ckpt::outcome_json(plain).dump());
-}
-
-TEST(CkptSession, AllSnapshotsTornMeansFreshRun) {
-  const std::string dir = fresh_dir("all_torn");
-  hcs::Session session(session_config(dir));
-  ASSERT_TRUE(session.save("CLEAN", 200).saved);
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    fs::resize_file(entry.path(), fs::file_size(entry.path()) / 2);
-  }
-  hcs::Session::RestoreReport report;
-  const hcs::core::SimOutcome restored = session.restore("CLEAN", &report);
-  EXPECT_FALSE(report.had_snapshot);
-  EXPECT_FALSE(report.verified);
-  const hcs::core::SimOutcome plain =
-      hcs::Session(session_config("")).run("CLEAN");
-  EXPECT_EQ(hcs::ckpt::outcome_json(restored).dump(),
-            hcs::ckpt::outcome_json(plain).dump());
 }
 
 // --- sweep-level resume ----------------------------------------------
@@ -612,52 +514,38 @@ TEST(CkptFuzz, MissingEverythingIsADiagnosticNotAnAbort) {
 // --- committed pre-migration (legacy) artifacts ----------------------
 //
 // Run identity moved from per-subsystem ad-hoc fingerprints to
-// hcs::CellKey (core/cell_key.hpp); the readers accept the pre-migration
-// spellings for one release (DESIGN.md, "Deprecation policy"). These
-// fixtures were generated by the pre-CellKey tree and are committed under
-// tests/data/legacy -- regenerating them with today's code would defeat
-// the point of the test.
+// hcs::CellKey (core/cell_key.hpp). The pre-CellKey readers were kept one
+// release and are gone (DESIGN.md, "Deprecation policy"): a snapshot
+// written by the pre-CellKey tree must now be refused with a diagnostic,
+// never replayed and never aborted on. The fixture under
+// tests/data/legacy was generated by that tree -- regenerating it with
+// today's code would defeat the point of the test.
 
-std::string legacy_copy(const char* which, const std::string& name) {
-  const std::string dir = fresh_dir(name);
-  fs::copy(std::string(HCS_LEGACY_DATA_DIR) + "/" + which, dir,
+TEST(CkptLegacy, PreCellKeySweepSnapshotIsRefused) {
+  const std::string dir = fresh_dir("legacy_sweep");
+  fs::copy(std::string(HCS_LEGACY_DATA_DIR) + "/sweep", dir,
            fs::copy_options::recursive);
-  return dir;
-}
-
-TEST(CkptLegacy, PreCellKeyRunSnapshotStillRestores) {
-  const std::string dir = legacy_copy("run", "legacy_run");
-  hcs::SessionConfig config;
-  config.dimension = 6;
-  config.options.checkpoint_dir = dir;
-  hcs::Session session(config);
-  hcs::Session::RestoreReport report;
-  const hcs::core::SimOutcome restored = session.restore("CLEAN", &report);
-  EXPECT_TRUE(report.had_snapshot);
-  EXPECT_FALSE(report.fingerprint_mismatch);
-  EXPECT_TRUE(report.verified);
-  EXPECT_GT(report.from_step, 0u);
-
-  hcs::SessionConfig plain_config;
-  plain_config.dimension = 6;
-  const hcs::core::SimOutcome plain =
-      hcs::Session(plain_config).run("CLEAN");
-  EXPECT_EQ(hcs::ckpt::outcome_json(restored).dump(),
-            hcs::ckpt::outcome_json(plain).dump());
-}
-
-TEST(CkptLegacy, PreCellKeySweepSnapshotStillResumes) {
-  const std::string dir = legacy_copy("sweep", "legacy_sweep");
   hcs::run::SweepSpec spec;
   spec.strategies = {"CLEAN", "CLONING"};
   spec.dimensions = {3, 4};
   spec.seeds = {1, 2};
 
+  std::string error;
+  const std::optional<hcs::ckpt::LoadedSnapshot> snap =
+      hcs::ckpt::Store({dir}).load_latest(&error);
+  ASSERT_TRUE(snap.has_value()) << error;
+  std::map<std::size_t, hcs::core::SimOutcome> done;
+  EXPECT_FALSE(hcs::run::parse_sweep_snapshot(
+      snap->doc, hcs::run::sweep_spec_fingerprint(spec), spec.num_cells(),
+      &done, &error));
+  EXPECT_NE(error.find("fingerprint mismatch"), std::string::npos) << error;
+  EXPECT_TRUE(done.empty());
+
   hcs::run::SweepRunner::Config config;
   config.checkpoint_dir = dir;
   const hcs::run::SweepResult resumed =
       hcs::run::SweepRunner(config).run(spec);
-  EXPECT_EQ(resumed.resumed_cells, 3u);  // generator committed cells 0,2,5
+  EXPECT_EQ(resumed.resumed_cells, 0u);
   EXPECT_EQ(hcs::run::sweep_json(resumed),
             hcs::run::sweep_json(hcs::run::SweepRunner().run(spec)));
 }

@@ -90,6 +90,28 @@ TEST(FuzzCell, SpecRoundTripsByteIdentically) {
   EXPECT_EQ(spec.content_hash().size(), 16u);
 }
 
+TEST(FuzzCell, ZeroWidthUniformDelayIsRefusedWithADiagnostic) {
+  // DelayModel::uniform requires 0 < lo < hi, so replaying this artifact
+  // would abort; the loader must refuse it instead.
+  Artifact artifact;
+  artifact.cell = known_bad_spec();
+  Json cell = artifact.cell.to_json();
+  Json delay = Json::object();
+  delay.set("kind", "uniform");
+  delay.set("lo", 0.0);
+  delay.set("hi", 0.0);
+  cell.set("delay", std::move(delay));
+  Json doc = artifact.to_json();
+  doc.set("cell", std::move(cell));
+  const fs::path path = fresh_dir("hcs_fuzz_bad_delay") / "art_bad.json";
+  ASSERT_TRUE(write_json_file(doc, path.string()));
+
+  Artifact loaded;
+  std::string error;
+  EXPECT_FALSE(load_artifact(path.string(), &loaded, &error));
+  EXPECT_NE(error.find("0 < lo < hi"), std::string::npos) << error;
+}
+
 TEST(FuzzCell, KnownBadSpecFailsWithStableSignature) {
   const CellResult result = run_cell(known_bad_spec());
   ASSERT_TRUE(result.failed());
@@ -352,39 +374,6 @@ TEST(FuzzArtifact, ReplaysByteIdentically) {
   EXPECT_EQ(loaded.file_name(), artifact.file_name());
   // ...and an exact failure reproduction from the parsed form alone.
   EXPECT_EQ(run_cell(loaded.cell).signature(), artifact.signature);
-}
-
-// Artifact hashes moved from the full canonical spec to the CellKey-based
-// identity (CellSpec::content_hash vs legacy_content_hash); campaigns
-// must keep deduplicating against corpora written under the old names for
-// one release. The fixture under tests/data/legacy/fuzz-corpus was
-// generated by the pre-CellKey tree (campaign_seed 7, dims 3-4,
-// expect=correct, 16 iterations, minimization off).
-TEST(FuzzCampaign, LegacyCorpusReplaysWithoutRewritingArtifacts) {
-  const fs::path dir = fresh_dir("hcs_fuzz_legacy_corpus");
-  fs::copy(std::string(HCS_LEGACY_DATA_DIR) + "/fuzz-corpus", dir,
-           fs::copy_options::recursive);
-
-  Manifest manifest;
-  std::string error;
-  ASSERT_TRUE(load_campaign_state(dir.string(), &manifest, &error)) << error;
-  const std::size_t corpus_before = manifest.corpus.size();
-  ASSERT_GT(corpus_before, 0u);
-  ASSERT_EQ(manifest.iterations_done, 16u);
-
-  // Re-run the same 16 iterations: generation is deterministic, so every
-  // failure re-derives -- and must dedup against the legacy-named
-  // artifacts instead of writing CellKey-named twins.
-  manifest.iterations_done = 0;
-  CampaignConfig config;
-  config.corpus_dir = dir.string();
-  config.threads = 2;
-  config.minimize_failures = false;
-  const CampaignOutcome replayed =
-      CampaignRunner(config).run(std::move(manifest), 16);
-  EXPECT_GT(replayed.failures_found, 0u);
-  EXPECT_EQ(replayed.artifacts_written, 0u);
-  EXPECT_EQ(replayed.manifest.corpus.size(), corpus_before);
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 // (where applicable) traces to the event-engine oracle, spawn_macro_team
 // on sim::Engine. The suite pins that contract across the strategy
 // registry, both hand-over semantics, crash-fault workloads (which run on
-// the event engine) and the run-identity surfaces that must never see the
-// knob: hcs::CellKey and checkpoint fingerprints.
+// the event engine) and the run identity that must never see the knob:
+// hcs::CellKey, which sweep-snapshot fingerprints and the hcsd cache key
+// are built from.
 //
 // The concurrency tests double as the TSan subjects (`ctest -L shard`
 // under the sanitizer matrix): they drive the barrier-phased path with
@@ -315,28 +316,6 @@ TEST(ShardIdentity, CellKeyIgnoresShards) {
   const CellKey kb = CellKey::from_options("CLEAN", 10, b);
   EXPECT_EQ(ka, kb);
   EXPECT_EQ(ka.hash(), kb.hash());
-}
-
-TEST(ShardIdentity, CheckpointFingerprintIgnoresShards) {
-  // A snapshot saved by a serial run must restore into a sharded session:
-  // the fingerprint covers run identity, and shard count is not identity.
-  const std::string dir = testing::TempDir() + "hcs_shard_ckpt";
-  SessionConfig saver_config;
-  saver_config.dimension = 8;
-  saver_config.options.checkpoint_dir = dir;
-  saver_config.options.shards = 1;
-  Session saver(saver_config);
-  ASSERT_TRUE(saver.save("CLEAN", 200).saved);
-
-  SessionConfig restorer_config = saver_config;
-  restorer_config.options.shards = 8;
-  Session::RestoreReport report;
-  const core::SimOutcome restored =
-      Session(restorer_config).restore("CLEAN", &report);
-  EXPECT_TRUE(report.had_snapshot);
-  EXPECT_FALSE(report.fingerprint_mismatch);
-  EXPECT_TRUE(report.verified);
-  EXPECT_TRUE(restored.correct()) << restored.verdict();
 }
 
 // =================================================================
