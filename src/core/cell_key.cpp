@@ -39,24 +39,6 @@ bool move_semantics_from_name(std::string_view name,
   return false;
 }
 
-CellKey CellKey::from_options(std::string_view strategy, unsigned dimension,
-                              const sim::RunOptions& options) {
-  CellKey key;
-  key.strategy = std::string(strategy);
-  key.dimension = dimension;
-  key.seed = options.seed;
-  key.delay = options.delay.is_unit() ? "unit" : "sampled";
-  key.policy = options.policy;
-  key.visibility = options.visibility;
-  key.semantics = options.semantics;
-  key.max_agent_steps = options.max_agent_steps;
-  key.livelock_window = options.livelock_window;
-  key.faults = options.faults;
-  key.recovery = options.recovery;
-  key.engine = options.engine;
-  return key;
-}
-
 Json CellKey::to_json() const {
   Json id = Json::object();
   id.set("strategy", strategy);

@@ -23,8 +23,7 @@
 //
 // The delay axis is a *label*, not a sampler: DelayModel is opaque, so the
 // key carries run::DelaySpec::label() strings ("unit", "uniform(0.2,3)",
-// "heavy-tailed") -- or the "sampled" catch-all for custom models handed
-// straight to Session, which callers swap at their own risk.
+// "heavy-tailed").
 
 #pragma once
 
@@ -54,8 +53,7 @@ struct CellKey {
   std::string strategy;  ///< registry name, canonical casing
   unsigned dimension = 4;
   std::uint64_t seed = 1;
-  /// Delay-model label: "unit", "uniform(lo,hi)", "heavy-tailed", or
-  /// "sampled" for an opaque custom DelayModel.
+  /// Delay-model label: "unit", "uniform(lo,hi)" or "heavy-tailed".
   std::string delay = "unit";
   sim::WakePolicy policy = sim::WakePolicy::kFifo;
   bool visibility = false;
@@ -66,14 +64,6 @@ struct CellKey {
   fault::RecoveryConfig recovery;
   /// Requested executor (may be kAuto).
   sim::EngineKind engine = sim::EngineKind::kEvent;
-
-  /// The identity tuple of a (strategy, dimension, options) run as Session
-  /// would execute it. Copies every identity-relevant RunOptions field;
-  /// non-identity fields (trace, obs, shards) are ignored. The delay
-  /// label degrades to "unit"/"sampled" because DelayModel is opaque.
-  [[nodiscard]] static CellKey from_options(std::string_view strategy,
-                                            unsigned dimension,
-                                            const sim::RunOptions& options);
 
   /// Canonical JSON object: every field, declaration order, stable axis
   /// names. Equal keys render byte-equal under Json's writer.

@@ -71,9 +71,8 @@ std::vector<std::uint32_t> exhaustive_min_inner_boundary(
   // Precompute neighbourhood masks.
   std::vector<std::uint64_t> nbr(n, 0);
   for (graph::Vertex v = 0; v < n; ++v) {
-    for (const graph::HalfEdge& he : g.neighbors(v)) {
-      nbr[v] |= std::uint64_t{1} << he.to;
-    }
+    graph::for_each_neighbor(
+        g, v, [&](graph::Vertex w) { nbr[v] |= std::uint64_t{1} << w; });
   }
 
   std::vector<std::uint32_t> best(n + 1, ~std::uint32_t{0});

@@ -28,11 +28,10 @@ std::uint32_t boundary_guards(const graph::Graph& g,
   std::uint32_t guards = 0;
   for (unsigned v = 0; v < n; ++v) {
     if (!((clean_mask >> v) & 1)) continue;
-    for (const graph::HalfEdge& he : g.neighbors(v)) {
-      if (!((clean_mask >> he.to) & 1)) {
-        ++guards;
-        break;
-      }
+    if (graph::any_neighbor(g, v, [&](graph::Vertex w) {
+          return !((clean_mask >> w) & 1);
+        })) {
+      ++guards;
     }
   }
   return guards;
@@ -78,11 +77,9 @@ OptimalResult minimax_search(const graph::Graph& g,
     if (connected_growth) {
       for (unsigned v = 0; v < n; ++v) {
         if (!((mask >> v) & 1)) continue;
-        for (const graph::HalfEdge& he : g.neighbors(v)) {
-          if (!((mask >> he.to) & 1)) {
-            candidates |= std::uint64_t{1} << he.to;
-          }
-        }
+        graph::for_each_neighbor(g, v, [&](graph::Vertex w) {
+          if (!((mask >> w) & 1)) candidates |= std::uint64_t{1} << w;
+        });
       }
     } else {
       candidates = full & ~mask;

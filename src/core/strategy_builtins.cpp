@@ -38,6 +38,7 @@ class CleanStrategy final : public Strategy {
   std::uint64_t spawn_team(sim::Engine& engine, unsigned d) const override {
     return spawn_clean_sync_team(engine, d);
   }
+  bool has_macro_program() const override { return true; }
   std::optional<sim::MacroProgram> macro_program(unsigned d) const override {
     return compile_macro_program(plan_clean_sync(d));
   }
@@ -59,6 +60,7 @@ class VisibilityStrategy final : public Strategy {
   std::uint64_t spawn_team(sim::Engine& engine, unsigned d) const override {
     return spawn_visibility_team(engine, d);
   }
+  bool has_macro_program() const override { return true; }
   std::optional<sim::MacroProgram> macro_program(unsigned d) const override {
     return compile_macro_program(plan_clean_visibility(d));
   }
@@ -97,6 +99,7 @@ class SynchronousStrategy final : public Strategy {
   std::uint64_t spawn_team(sim::Engine& engine, unsigned d) const override {
     return spawn_synchronous_team(engine, d);
   }
+  bool has_macro_program() const override { return true; }
   std::optional<sim::MacroProgram> macro_program(unsigned d) const override {
     // Algorithm 2's wave schedule, which the synchronous protocol realizes
     // without visibility (Section 5): same plan as CLEAN-WITH-VISIBILITY.
@@ -120,6 +123,7 @@ class NaiveLevelSweepStrategy final : public Strategy {
                               plan.num_rounds());
     return plan.num_agents;
   }
+  bool has_macro_program() const override { return true; }
   std::optional<sim::MacroProgram> macro_program(unsigned d) const override {
     return compile_macro_program(plan_naive_level_sweep(d));
   }
@@ -153,6 +157,7 @@ class TreeSweepStrategy final : public Strategy {
                               plan.num_rounds());
     return plan.num_agents;
   }
+  bool has_macro_program() const override { return true; }
   std::optional<sim::MacroProgram> macro_program(unsigned d) const override {
     return compile_macro_program(make_plan(d));
   }

@@ -6,7 +6,8 @@
 // bundles what that takes: a factory that spawns the team into an engine, a
 // topology builder (H_d for the paper strategies; the tree-only baseline
 // searches T(d)), capability metadata (visibility / cloning / synchrony
-// requirements), and the closed-form expected costs from core/formulas.
+// requirements, and whether the sweep compiles to a macro program), and the
+// closed-form expected costs from core/formulas.
 //
 // The registry decouples strategy *implementations* from the run harness:
 // run_strategy_sim, the sweep runner (src/run), the audit planner, and the
@@ -101,6 +102,11 @@ class Strategy {
       unsigned /*d*/) const {
     return std::nullopt;
   }
+
+  /// True iff macro_program() returns a program, at every d. Answers the
+  /// question without building the schedule, so hcsd's admission step
+  /// costs no planning; an override of macro_program overrides this too.
+  [[nodiscard]] virtual bool has_macro_program() const { return false; }
 };
 
 class StrategyRegistry {

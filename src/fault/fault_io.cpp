@@ -20,6 +20,17 @@ bool get_double(const Json& json, const char* key, double* out,
   return true;
 }
 
+/// Fetches a required probability: a number in [0, 1], the range
+/// FaultSchedule requires of every rate.
+bool get_rate(const Json& json, const char* key, double* out,
+              std::string* error) {
+  if (!get_double(json, key, out, error)) return false;
+  if (!(*out >= 0.0 && *out <= 1.0)) {
+    return fail(error, std::string("\"") + key + "\" must be in [0, 1]");
+  }
+  return true;
+}
+
 bool get_uint(const Json& json, const char* key, std::uint64_t* out,
               std::string* error) {
   const Json* member = json.get(key);
@@ -109,14 +120,17 @@ bool parse_fault_event(const Json& json, FaultEvent* out, std::string* error) {
 bool parse_fault_spec(const Json& json, FaultSpec* out, std::string* error) {
   if (!json.is_object()) return fail(error, "fault spec is not an object");
   FaultSpec spec;
-  if (!get_double(json, "crash_rate", &spec.crash_rate, error) ||
-      !get_double(json, "wb_loss_rate", &spec.wb_loss_rate, error) ||
-      !get_double(json, "wb_corrupt_rate", &spec.wb_corrupt_rate, error) ||
-      !get_double(json, "wake_drop_rate", &spec.wake_drop_rate, error) ||
-      !get_double(json, "link_stall_rate", &spec.link_stall_rate, error) ||
+  if (!get_rate(json, "crash_rate", &spec.crash_rate, error) ||
+      !get_rate(json, "wb_loss_rate", &spec.wb_loss_rate, error) ||
+      !get_rate(json, "wb_corrupt_rate", &spec.wb_corrupt_rate, error) ||
+      !get_rate(json, "wake_drop_rate", &spec.wake_drop_rate, error) ||
+      !get_rate(json, "link_stall_rate", &spec.link_stall_rate, error) ||
       !get_double(json, "stall_factor", &spec.stall_factor, error) ||
       !get_uint(json, "seed", &spec.seed, error)) {
     return false;
+  }
+  if (!(spec.stall_factor >= 1.0)) {
+    return fail(error, "\"stall_factor\" must be >= 1");
   }
   const Json* events = json.get("events");
   if (events == nullptr || !events->is_array()) {

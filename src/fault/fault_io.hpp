@@ -25,7 +25,9 @@ namespace hcs::fault {
 [[nodiscard]] Json degradation_report_json(const DegradationReport& report);
 
 /// Parsers return false (with a one-line message in `error` when non-null)
-/// on a structural mismatch; `out` is untouched on failure.
+/// on a structural mismatch or on a value FaultSchedule would refuse (a
+/// rate outside [0, 1], a stall_factor below 1); `out` is untouched on
+/// failure.
 [[nodiscard]] bool parse_fault_event(const Json& json, FaultEvent* out,
                                      std::string* error = nullptr);
 [[nodiscard]] bool parse_fault_spec(const Json& json, FaultSpec* out,

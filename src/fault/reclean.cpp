@@ -21,12 +21,12 @@ void bfs_tree(const graph::Graph& g, graph::Vertex source,
   while (!queue.empty()) {
     const graph::Vertex u = queue.front();
     queue.pop_front();
-    for (const graph::HalfEdge& he : g.neighbors(u)) {
-      if (dist[he.to] != graph::kUnreachable) continue;
-      dist[he.to] = dist[u] + 1;
-      parent[he.to] = u;
-      queue.push_back(he.to);
-    }
+    graph::for_each_neighbor(g, u, [&](graph::Vertex w) {
+      if (dist[w] != graph::kUnreachable) return;
+      dist[w] = dist[u] + 1;
+      parent[w] = u;
+      queue.push_back(w);
+    });
   }
 }
 
@@ -42,11 +42,11 @@ std::vector<bool> clean_component(const graph::Graph& g,
   while (!queue.empty()) {
     const graph::Vertex u = queue.front();
     queue.pop_front();
-    for (const graph::HalfEdge& he : g.neighbors(u)) {
-      if (in[he.to] || contaminated[he.to]) continue;
-      in[he.to] = true;
-      queue.push_back(he.to);
-    }
+    graph::for_each_neighbor(g, u, [&](graph::Vertex w) {
+      if (in[w] || contaminated[w]) return;
+      in[w] = true;
+      queue.push_back(w);
+    });
   }
   return in;
 }
@@ -79,10 +79,7 @@ RecleanPlan plan_reclean(const graph::Graph& g, graph::Vertex homebase,
   // passes through, or vacating them would re-flood the clean region.
   std::vector<bool> is_target(g.num_nodes(), false);
   const auto has_dirty_neighbor = [&](graph::Vertex v) {
-    for (const graph::HalfEdge& he : g.neighbors(v)) {
-      if (dirty[he.to]) return true;
-    }
-    return false;
+    return graph::any_neighbor(g, v, [&](graph::Vertex w) { return dirty[w]; });
   };
 
   std::vector<graph::Vertex> dirty_targets;

@@ -47,7 +47,7 @@ struct Executed {
 };
 
 /// Mirrors Session::run (core/session.cpp) with two fuzz-specific hooks:
-/// the topology may be stripped of its hypercube hint (the differential
+/// the topology may be rebuilt as compressed adjacency (the differential
 /// oracle) and fired fault decisions may be recorded (the minimizer's
 /// concretization input).
 Executed execute(const CellSpec& spec, const core::Strategy& strategy,

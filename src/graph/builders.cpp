@@ -9,23 +9,11 @@
 namespace hcs::graph {
 
 Graph make_hypercube(unsigned d) {
-  HCS_EXPECTS(d >= 1 && d <= 30);  // 2^30 nodes is already 1 GiB of edges
-  const std::size_t n = std::size_t{1} << d;
-  GraphBuilder b(n);
-  b.mark_hypercube(d);
-  for (std::size_t x = 0; x < n; ++x) {
-    b.set_node_name(static_cast<Vertex>(x),
-                    to_binary_string(static_cast<NodeId>(x), d));
-    for (unsigned j = 1; j <= d; ++j) {
-      const std::size_t y = x ^ (std::size_t{1} << (j - 1));
-      if (x < y) {
-        // Label = dimension (1-based), identical at both endpoints, per the
-        // paper's lambda.
-        b.add_edge(static_cast<Vertex>(x), static_cast<Vertex>(y), j, j);
-      }
-    }
-  }
-  return b.finalize();
+  HCS_EXPECTS(d >= 1 && d <= 30);
+  Graph g;
+  g.num_nodes_ = std::size_t{1} << d;
+  g.hc_dim_ = d;
+  return g;
 }
 
 Graph make_path(std::size_t n) {

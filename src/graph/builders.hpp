@@ -2,7 +2,8 @@
 //
 // All builders produce port-labelled Graphs. The hypercube builder uses the
 // paper's labelling (label = 1-based dimension of the differing bit, equal
-// at both endpoints); other builders use conventional per-node port
+// at both endpoints) and stores only d; the others build compressed
+// adjacency through GraphBuilder, with conventional per-node port
 // numbering unless stated otherwise.
 
 #pragma once
@@ -16,7 +17,8 @@ namespace hcs::graph {
 
 /// d-dimensional hypercube H_d: nodes are the masks 0..2^d-1, edge labels
 /// are the differing bit position (1-based), node names are the binary
-/// strings of the ids.
+/// strings of the ids. O(1): the graph stores d and nothing else (see
+/// Graph).
 [[nodiscard]] Graph make_hypercube(unsigned d);
 
 /// Path P_n: 0 - 1 - ... - n-1.

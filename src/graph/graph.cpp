@@ -4,11 +4,13 @@
 #include <bit>
 
 #include "util/assert.hpp"
+#include "util/bitops.hpp"
 
 namespace hcs::graph {
 
 std::size_t Graph::degree(Vertex v) const {
   HCS_EXPECTS(v < num_nodes());
+  if (hc_dim_ != 0) return hc_dim_;
   return offsets_[v + 1] - offsets_[v];
 }
 
@@ -60,10 +62,23 @@ PortLabel Graph::label_of_edge(Vertex u, Vertex v) const {
   return 0;  // unreachable
 }
 
-const std::string& Graph::node_name(Vertex v) const {
+std::string Graph::node_name(Vertex v) const {
   HCS_EXPECTS(v < num_nodes());
-  static const std::string kEmpty;
-  return names_.empty() ? kEmpty : names_[v];
+  if (hc_dim_ != 0) return to_binary_string(v, hc_dim_);
+  return names_.empty() ? std::string() : names_[v];
+}
+
+Graph Graph::without_topology_hint() const {
+  if (hc_dim_ == 0) return *this;
+  GraphBuilder b(num_nodes_);
+  for (Vertex x = 0; x < num_nodes_; ++x) {
+    b.set_node_name(x, node_name(x));
+    for (PortLabel j = 1; j <= hc_dim_; ++j) {
+      const Vertex y = x ^ (Vertex{1} << (j - 1));
+      if (x < y) b.add_edge(x, y, j, j);
+    }
+  }
+  return b.finalize();
 }
 
 GraphBuilder::GraphBuilder(std::size_t num_nodes)
@@ -90,15 +105,9 @@ void GraphBuilder::set_node_name(Vertex v, std::string name) {
   names_[v] = std::move(name);
 }
 
-void GraphBuilder::mark_hypercube(unsigned d) {
-  HCS_EXPECTS(d >= 1 && d <= 30);
-  HCS_EXPECTS(num_nodes_ == (std::size_t{1} << d) &&
-              "hypercube hint requires 2^d nodes");
-  hc_dim_ = d;
-}
-
 Graph GraphBuilder::finalize() {
   Graph g;
+  g.num_nodes_ = num_nodes_;
   g.offsets_.assign(num_nodes_ + 1, 0);
   for (std::size_t v = 0; v < num_nodes_; ++v) {
     g.offsets_[v + 1] = g.offsets_[v] + degrees_[v];
@@ -131,29 +140,10 @@ Graph GraphBuilder::finalize() {
     }
   }
   g.names_ = std::move(names_);
-  if (hc_dim_ != 0) {
-    // Verify the hint before trusting it: every node must have exactly the
-    // implicit adjacency (degree d, label j at both ends leading to the
-    // bit-j-flipped neighbour). One O(m) pass at build time buys O(1)
-    // adjacency queries for the rest of the run.
-    HCS_ASSERT(g.num_edges() == (std::size_t{hc_dim_} << (hc_dim_ - 1)));
-    for (std::size_t v = 0; v < num_nodes_; ++v) {
-      const auto span = g.neighbors(static_cast<Vertex>(v));
-      HCS_ASSERT(span.size() == hc_dim_);
-      for (unsigned j = 1; j <= hc_dim_; ++j) {
-        const HalfEdge& he = span[j - 1];
-        HCS_ASSERT(he.label == j && he.label_at_other_end == j &&
-                   he.to == (static_cast<Vertex>(v) ^ (Vertex{1} << (j - 1))) &&
-                   "hypercube hint does not match the built adjacency");
-      }
-    }
-    g.hc_dim_ = hc_dim_;
-  }
 
   edges_.clear();
   degrees_.assign(num_nodes_, 0);
   names_.clear();
-  hc_dim_ = 0;
   return g;
 }
 

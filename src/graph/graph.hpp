@@ -8,10 +8,11 @@
 // port-labelled graph, so baselines and tests can run on trees, rings,
 // grids, etc.
 //
-// Graph is immutable after construction (build with GraphBuilder): the
-// simulator shares one Graph across many agents/threads, and immutability is
-// what makes that sharing trivially safe (Core Guidelines CP.mess/CP.3:
-// minimize shared writable data).
+// Graph is immutable after construction: the simulator shares one Graph
+// across many agents/threads, and immutability is what makes that sharing
+// trivially safe (Core Guidelines CP.mess/CP.3: minimize shared writable
+// data). make_hypercube builds H_d; GraphBuilder builds every other
+// topology.
 
 #pragma once
 
@@ -46,29 +47,27 @@ struct HalfEdge {
 
 class GraphBuilder;
 
-/// Immutable port-labelled undirected graph in compressed adjacency form.
+/// Immutable port-labelled undirected graph.
 ///
-/// Graphs built by make_hypercube carry an *implicit topology hint*
+/// A graph built by make_hypercube is H_d itself and stores only d
 /// (hypercube_dim() != 0): node ids are the paper's d-bit strings, the
-/// neighbour across port j (1-based) is `v ^ (1 << (j-1))`, and the label
-/// is identical at both endpoints. The hint turns neighbor_via, has_edge,
-/// label_of_edge and edge_with_label into pure bit arithmetic -- no memory
-/// traffic -- which matters because the contracts in the simulation hot
-/// path (per-move adjacency checks, the visibility rule's neighbour scans,
-/// recontamination floods) run in every build type. neighbors() still
-/// serves the materialized spans, so span-based callers are unaffected,
-/// and non-hypercube graphs keep the compressed-adjacency path throughout.
+/// neighbour across port j (1-based) is `v ^ (1 << (j-1))`, the label is
+/// identical at both endpoints, and node_name(v) is v's binary string.
+/// Every adjacency query on it is bit arithmetic -- no memory traffic --
+/// which matters because the contracts in the simulation hot path
+/// (per-move adjacency checks, the visibility rule's neighbour scans,
+/// recontamination floods) run in every build type. Every other graph
+/// stores its adjacency in compressed form. for_each_neighbor,
+/// any_neighbor and for_each_half_edge list a node's neighbours in label
+/// order for both kinds.
 class Graph {
  public:
   Graph() = default;
 
-  [[nodiscard]] std::size_t num_nodes() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
-  [[nodiscard]] std::size_t num_edges() const { return half_edges_.size() / 2; }
+  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
+  [[nodiscard]] std::size_t num_edges() const { return total_degree() / 2; }
 
   [[nodiscard]] std::size_t degree(Vertex v) const;
-
-  /// Incident edges of v, sorted by label.
-  [[nodiscard]] std::span<const HalfEdge> neighbors(Vertex v) const;
 
   /// The half-edge at v with the given label, if any (O(1) for hypercubes,
   /// binary search otherwise).
@@ -105,32 +104,41 @@ class Graph {
   /// The label at u of edge (u, v); aborts if (u, v) is not an edge.
   [[nodiscard]] PortLabel label_of_edge(Vertex u, Vertex v) const;
 
-  /// Optional human-readable node names (binary strings for hypercubes).
-  [[nodiscard]] const std::string& node_name(Vertex v) const;
+  /// Human-readable node name: the d-bit string for hypercubes, the
+  /// builder's name (empty if none was set) otherwise.
+  [[nodiscard]] std::string node_name(Vertex v) const;
 
   /// Total degree summed over nodes (== 2 * num_edges()).
-  [[nodiscard]] std::size_t total_degree() const { return half_edges_.size(); }
-
-  /// Non-zero iff this graph is a hypercube built with the implicit
-  /// topology hint; the value is its dimension d.
-  [[nodiscard]] unsigned hypercube_dim() const { return hc_dim_; }
-  [[nodiscard]] bool is_hypercube() const { return hc_dim_ != 0; }
-
-  /// A copy with the hypercube hint stripped: identical adjacency served
-  /// exclusively through the generic compressed path. Ablation/test hook
-  /// (the differential suite proves both paths byte-equivalent).
-  [[nodiscard]] Graph without_topology_hint() const {
-    Graph g = *this;
-    g.hc_dim_ = 0;
-    return g;
+  [[nodiscard]] std::size_t total_degree() const {
+    return hc_dim_ != 0 ? num_nodes_ * hc_dim_ : half_edges_.size();
   }
+
+  /// Non-zero iff this graph is the hypercube H_d built by make_hypercube;
+  /// the value is its dimension d.
+  [[nodiscard]] unsigned hypercube_dim() const { return hc_dim_; }
+
+  /// For H_d, the same graph in compressed form (label j at both ends, in
+  /// label order, binary-string names), served exclusively through the
+  /// generic paths; any other graph unchanged. The reference the
+  /// differential suites compare the bit-arithmetic paths against.
+  [[nodiscard]] Graph without_topology_hint() const;
 
  private:
   friend class GraphBuilder;
+  friend Graph make_hypercube(unsigned d);
+  template <typename Fn>
+  friend void for_each_neighbor(const Graph& g, Vertex v, Fn&& fn);
+  template <typename Fn>
+  friend bool any_neighbor(const Graph& g, Vertex v, Fn&& fn);
+  template <typename Fn>
+  friend void for_each_half_edge(const Graph& g, Vertex v, Fn&& fn);
 
+  /// Incident edges of v, sorted by label (compressed graphs only).
+  [[nodiscard]] std::span<const HalfEdge> neighbors(Vertex v) const;
   [[nodiscard]] Vertex neighbor_via_generic(Vertex v, PortLabel label) const;
   [[nodiscard]] bool has_edge_generic(Vertex u, Vertex v) const;
 
+  std::size_t num_nodes_ = 0;
   std::vector<std::size_t> offsets_;   // size num_nodes()+1
   std::vector<HalfEdge> half_edges_;   // grouped by node, sorted by label
   std::vector<std::string> names_;     // may be empty
@@ -166,6 +174,20 @@ bool any_neighbor(const Graph& g, Vertex v, Fn&& fn) {
   return false;
 }
 
+/// Visits the incident edges of v in port-label order, invoking
+/// fn(const HalfEdge&). Same visit order as for_each_neighbor.
+template <typename Fn>
+void for_each_half_edge(const Graph& g, Vertex v, Fn&& fn) {
+  if (const unsigned d = g.hypercube_dim(); d != 0) {
+    HCS_EXPECTS(v < g.num_nodes());
+    for (PortLabel j = 1; j <= d; ++j) {
+      fn(HalfEdge{j, static_cast<Vertex>(v ^ (Vertex{1} << (j - 1))), j});
+    }
+  } else {
+    for (const HalfEdge& he : g.neighbors(v)) fn(he);
+  }
+}
+
 /// Mutable edge accumulator; finalize() produces an immutable Graph.
 class GraphBuilder {
  public:
@@ -183,12 +205,6 @@ class GraphBuilder {
   /// Optional display name for a node.
   void set_node_name(Vertex v, std::string name);
 
-  /// Declares that the finished graph is the d-dimensional hypercube with
-  /// node ids as bit strings and labels = 1-based differing-bit positions.
-  /// finalize() verifies the claim and enables the implicit-topology fast
-  /// paths on the produced Graph.
-  void mark_hypercube(unsigned d);
-
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
 
   /// Validates labels and produces the immutable Graph. The builder is left
@@ -205,7 +221,6 @@ class GraphBuilder {
   std::vector<PendingEdge> edges_;
   std::vector<std::size_t> degrees_;
   std::vector<std::string> names_;
-  unsigned hc_dim_ = 0;
 };
 
 }  // namespace hcs::graph

@@ -116,12 +116,12 @@ SpanningTree bfs_spanning_tree(const Graph& g, Vertex root) {
   while (!queue.empty()) {
     const Vertex u = queue.front();
     queue.pop_front();
-    for (const HalfEdge& he : g.neighbors(u)) {
-      if (parent[he.to] == g.num_nodes()) {
-        parent[he.to] = u;
-        queue.push_back(he.to);
+    for_each_neighbor(g, u, [&](Vertex w) {
+      if (parent[w] == g.num_nodes()) {
+        parent[w] = u;
+        queue.push_back(w);
       }
-    }
+    });
   }
   for (Vertex v = 0; v < g.num_nodes(); ++v) {
     HCS_ASSERT(parent[v] < g.num_nodes() &&

@@ -15,12 +15,12 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, Vertex source) {
   while (!queue.empty()) {
     const Vertex u = queue.front();
     queue.pop_front();
-    for (const HalfEdge& he : g.neighbors(u)) {
-      if (dist[he.to] == kUnreachable) {
-        dist[he.to] = dist[u] + 1;
-        queue.push_back(he.to);
+    for_each_neighbor(g, u, [&](Vertex w) {
+      if (dist[w] == kUnreachable) {
+        dist[w] = dist[u] + 1;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return dist;
 }
@@ -36,12 +36,12 @@ std::vector<Vertex> bfs_order(const Graph& g, Vertex source) {
     const Vertex u = queue.front();
     queue.pop_front();
     order.push_back(u);
-    for (const HalfEdge& he : g.neighbors(u)) {
-      if (!seen[he.to]) {
-        seen[he.to] = true;
-        queue.push_back(he.to);
+    for_each_neighbor(g, u, [&](Vertex w) {
+      if (!seen[w]) {
+        seen[w] = true;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return order;
 }
@@ -66,12 +66,12 @@ std::vector<std::uint32_t> connected_components(const Graph& g) {
     while (!queue.empty()) {
       const Vertex u = queue.front();
       queue.pop_front();
-      for (const HalfEdge& he : g.neighbors(u)) {
-        if (comp[he.to] == kUnreachable) {
-          comp[he.to] = next_id;
-          queue.push_back(he.to);
+      for_each_neighbor(g, u, [&](Vertex w) {
+        if (comp[w] == kUnreachable) {
+          comp[w] = next_id;
+          queue.push_back(w);
         }
-      }
+      });
     }
     ++next_id;
   }
@@ -94,12 +94,12 @@ std::vector<bool> reachable_without(const Graph& g,
   while (!queue.empty()) {
     const Vertex u = queue.front();
     queue.pop_front();
-    for (const HalfEdge& he : g.neighbors(u)) {
-      if (!blocked[he.to] && !reached[he.to]) {
-        reached[he.to] = true;
-        queue.push_back(he.to);
+    for_each_neighbor(g, u, [&](Vertex w) {
+      if (!blocked[w] && !reached[w]) {
+        reached[w] = true;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return reached;
 }
@@ -124,12 +124,12 @@ bool is_connected_subset(const Graph& g, const std::vector<bool>& members) {
     const Vertex u = queue.front();
     queue.pop_front();
     ++visited;
-    for (const HalfEdge& he : g.neighbors(u)) {
-      if (members[he.to] && !seen[he.to]) {
-        seen[he.to] = true;
-        queue.push_back(he.to);
+    for_each_neighbor(g, u, [&](Vertex w) {
+      if (members[w] && !seen[w]) {
+        seen[w] = true;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return visited == member_count;
 }
@@ -149,26 +149,24 @@ std::vector<Vertex> shortest_path_within(const Graph& g, Vertex from,
   if (!allowed[from] || !allowed[to]) return {};
   if (from == to) return {from};
 
-  std::vector<Vertex> parent(g.num_nodes(), static_cast<Vertex>(g.num_nodes()));
+  const auto unreached = static_cast<Vertex>(g.num_nodes());
+  std::vector<Vertex> parent(g.num_nodes(), unreached);
   std::deque<Vertex> queue{from};
   parent[from] = from;
-  while (!queue.empty()) {
+  while (!queue.empty() && parent[to] == unreached) {
     const Vertex u = queue.front();
     queue.pop_front();
-    for (const HalfEdge& he : g.neighbors(u)) {
-      const Vertex v = he.to;
-      if (!allowed[v] || parent[v] != g.num_nodes()) continue;
+    for_each_neighbor(g, u, [&](Vertex v) {
+      if (!allowed[v] || parent[v] != unreached) return;
       parent[v] = u;
-      if (v == to) {
-        std::vector<Vertex> path{to};
-        for (Vertex w = to; w != from; w = parent[w]) path.push_back(parent[w]);
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
       queue.push_back(v);
-    }
+    });
   }
-  return {};
+  if (parent[to] == unreached) return {};
+  std::vector<Vertex> path{to};
+  for (Vertex w = to; w != from; w = parent[w]) path.push_back(parent[w]);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 std::uint32_t diameter(const Graph& g) {

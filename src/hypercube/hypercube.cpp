@@ -1,6 +1,5 @@
 #include "hypercube/hypercube.hpp"
 
-#include "graph/builders.hpp"
 #include "util/assert.hpp"
 #include "util/binomial.hpp"
 
@@ -100,7 +99,5 @@ std::uint64_t Hypercube::class_size(BitPos i) const {
   HCS_EXPECTS(i <= d_);
   return i == 0 ? 1 : (std::uint64_t{1} << (i - 1));
 }
-
-graph::Graph Hypercube::to_graph() const { return graph::make_hypercube(d_); }
 
 }  // namespace hcs

@@ -13,15 +13,15 @@
 //                           (these are x's children in the broadcast tree).
 //
 // This class is a *view*: it stores only d and computes everything with bit
-// arithmetic, so it is free to copy and trivially thread-safe. Use
-// to_graph() to materialize the explicit Graph for the simulator.
+// arithmetic, so it is free to copy and trivially thread-safe. The
+// simulator's Graph for H_d is graph::make_hypercube(d), which likewise
+// stores only d.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "util/bitops.hpp"
 
 namespace hcs {
@@ -92,9 +92,6 @@ class Hypercube {
 
   /// Number of nodes in class C_i (Property 5): 1 for i = 0, else 2^(i-1).
   [[nodiscard]] std::uint64_t class_size(BitPos i) const;
-
-  /// Materializes the explicit port-labelled graph (node v == mask v).
-  [[nodiscard]] graph::Graph to_graph() const;
 
  private:
   unsigned d_;

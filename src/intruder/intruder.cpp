@@ -24,23 +24,22 @@ std::vector<bool> unguarded_region(const sim::Network& net,
     reach[start] = true;
     queue.push_back(start);
   } else {
-    for (const graph::HalfEdge& he : net.graph().neighbors(start)) {
-      if (net.status(he.to) != sim::NodeStatus::kGuarded && !reach[he.to]) {
-        reach[he.to] = true;
-        queue.push_back(he.to);
+    graph::for_each_neighbor(net.graph(), start, [&](graph::Vertex w) {
+      if (net.status(w) != sim::NodeStatus::kGuarded && !reach[w]) {
+        reach[w] = true;
+        queue.push_back(w);
       }
-    }
+    });
   }
   while (!queue.empty()) {
     const graph::Vertex u = queue.front();
     queue.pop_front();
-    for (const graph::HalfEdge& he : net.graph().neighbors(u)) {
-      if (!reach[he.to] &&
-          net.status(he.to) != sim::NodeStatus::kGuarded) {
-        reach[he.to] = true;
-        queue.push_back(he.to);
+    graph::for_each_neighbor(net.graph(), u, [&](graph::Vertex w) {
+      if (!reach[w] && net.status(w) != sim::NodeStatus::kGuarded) {
+        reach[w] = true;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return reach;
 }
@@ -58,12 +57,12 @@ std::vector<std::uint32_t> distance_from_guards(const sim::Network& net) {
   while (!queue.empty()) {
     const graph::Vertex u = queue.front();
     queue.pop_front();
-    for (const graph::HalfEdge& he : net.graph().neighbors(u)) {
-      if (dist[he.to] == graph::kUnreachable) {
-        dist[he.to] = dist[u] + 1;
-        queue.push_back(he.to);
+    graph::for_each_neighbor(net.graph(), u, [&](graph::Vertex w) {
+      if (dist[w] == graph::kUnreachable) {
+        dist[w] = dist[u] + 1;
+        queue.push_back(w);
       }
-    }
+    });
   }
   return dist;
 }
@@ -141,18 +140,18 @@ void RandomFleeIntruder::on_status(graph::Vertex v, sim::NodeStatus s,
   // sweep's interior; a correct strategy never leaves one open anyway).
   std::vector<graph::Vertex> contaminated_exits;
   std::vector<graph::Vertex> clean_exits;
-  for (const graph::HalfEdge& he : net().graph().neighbors(v)) {
-    switch (net().status(he.to)) {
+  graph::for_each_neighbor(net().graph(), v, [&](graph::Vertex w) {
+    switch (net().status(w)) {
       case sim::NodeStatus::kContaminated:
-        contaminated_exits.push_back(he.to);
+        contaminated_exits.push_back(w);
         break;
       case sim::NodeStatus::kClean:
-        clean_exits.push_back(he.to);
+        clean_exits.push_back(w);
         break;
       case sim::NodeStatus::kGuarded:
         break;
     }
-  }
+  });
   const auto& exits =
       !contaminated_exits.empty() ? contaminated_exits : clean_exits;
   if (exits.empty()) {

@@ -83,6 +83,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.errors));
 
   if (!obs_json.empty() || !obs_trace.empty()) {
+    // The service counts in its own atomics (stats()); the registry holds
+    // only its latency histograms until the counts are copied in here.
+    registry.counter_add("serve.requests", stats.requests);
+    registry.counter_add("serve.hits", stats.hits);
+    registry.counter_add("serve.misses", stats.misses);
+    registry.counter_add("serve.coalesced", stats.coalesced);
+    registry.counter_add("serve.executions", stats.executions);
+    registry.counter_add("serve.rejected", stats.rejected);
+    registry.counter_add("serve.errors", stats.errors);
     const hcs::obs::Snapshot snap = registry.snapshot();
     if (!obs_json.empty() &&
         !hcs::obs::write_snapshot_json(snap, obs_json)) {

@@ -38,12 +38,10 @@ Service::Reply Service::handle(std::string_view line) {
   std::string error;
   if (!parse_request(line, &req, &error)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.obs != nullptr) config_.obs->counter_add("serve.errors");
     return {error_reply(0, error), false};
   }
 
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.obs != nullptr) config_.obs->counter_add("serve.requests");
 
   Reply reply;
   switch (req.op) {
@@ -71,7 +69,6 @@ Service::Reply Service::handle(std::string_view line) {
 Service::Reply Service::handle_run(const Request& req) {
   const auto reject = [this](std::uint64_t id, const std::string& why) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.obs != nullptr) config_.obs->counter_add("serve.errors");
     return Reply{error_reply(id, why), false};
   };
 
@@ -100,7 +97,7 @@ Service::Reply Service::handle_run(const Request& req) {
                     "macro engine requires the fifo wake policy and the "
                     "unit delay model");
     }
-    if (!strategy->macro_program(run.key.dimension).has_value()) {
+    if (!strategy->has_macro_program()) {
       return reject(req.id, "strategy \"" + run.key.strategy +
                                 "\" has no macro program");
     }
@@ -117,7 +114,6 @@ Service::Reply Service::handle_run(const Request& req) {
     if (cache_.get(cache_key, &body)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       lock.unlock();
-      if (config_.obs != nullptr) config_.obs->counter_add("serve.hits");
       return {ok_reply(req.id, true, false, body), false};
     }
     const auto it = inflight_.find(cache_key);
@@ -128,9 +124,6 @@ Service::Reply Service::handle_run(const Request& req) {
       if (inflight_.size() >= config_.max_pending) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         lock.unlock();
-        if (config_.obs != nullptr) {
-          config_.obs->counter_add("serve.rejected");
-        }
         return {error_reply(req.id, "overloaded: " +
                                         std::to_string(config_.max_pending) +
                                         " cells already in flight"),
@@ -143,9 +136,6 @@ Service::Reply Service::handle_run(const Request& req) {
     }
   }
 
-  if (config_.obs != nullptr) {
-    config_.obs->counter_add(leader ? "serve.misses" : "serve.coalesced");
-  }
   if (leader) {
     pool_->submit(
         [this, run, cache_key, flight] { execute(run, cache_key, flight); });
@@ -204,7 +194,6 @@ void Service::execute(const Request& req, const std::string& cache_key,
   std::string bytes = body.dump_compact();
 
   if (config_.obs != nullptr) {
-    config_.obs->counter_add("serve.executions");
     config_.obs->hist_record("serve.exec_us", elapsed_us(start));
   }
 

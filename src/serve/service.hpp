@@ -9,7 +9,9 @@
 // Request lifecycle for op "run":
 //   1. admission -- unknown strategy, oversized dimension or a
 //      macro-ineligible cell is rejected with an error reply; too many
-//      distinct in-flight cells rejects with "overloaded".
+//      distinct in-flight cells rejects with "overloaded". Macro
+//      eligibility reads Strategy::has_macro_program(), so admission never
+//      builds a schedule.
 //   2. cache probe -- key = CellKey::hash() (+ "+trace" for trace
 //      requests); a hit replays the stored body bytes verbatim.
 //   3. coalescing -- a miss that matches an in-flight execution of the
@@ -22,6 +24,11 @@
 // Threading: one mutex guards cache + in-flight table + nothing else;
 // counters are atomics so stats() never takes the lock; simulations run
 // outside the lock on the pool.
+//
+// Counting: the atomics behind stats() are the one count of requests,
+// hits, misses, coalesced joins, executions, rejections and errors, in
+// every build (HCS_OBS_OFF included). hcsd copies them into its obs
+// registry under serve.* names when it writes a snapshot.
 
 #pragma once
 
@@ -57,8 +64,9 @@ struct ServiceConfig {
   /// 0 = auto. A request's own "shards" field overrides it. Never part of
   /// the cache key: shard count does not change results.
   std::uint32_t shards = 0;
-  /// Optional metrics sink (serve.* counters and latency histograms);
-  /// the service's own atomic counters stay authoritative either way.
+  /// Optional metrics sink for the request and execution latency
+  /// histograms (serve.request_us, serve.exec_us). Counts are not
+  /// recorded here: stats() holds them.
   obs::Registry* obs = nullptr;
   /// Test hook: runs on the pool worker before each execution starts.
   /// Blocking here holds the cell in-flight, which is how
@@ -108,9 +116,7 @@ class Service {
   /// One in-flight execution; waiters block on `cv` until `done`.
   struct Inflight {
     bool done = false;
-    bool failed = false;
-    std::string body;   ///< compact result JSON (valid when done && !failed)
-    std::string error;  ///< diagnostic (valid when done && failed)
+    std::string body;  ///< compact result JSON (valid when done)
     std::condition_variable cv;
   };
 

@@ -17,10 +17,10 @@ TEST(Builders, HypercubeStructure) {
       EXPECT_EQ(g.degree(v), d);
       // Edge labels are the 1-based differing-bit positions and agree at
       // both endpoints (the paper's lambda).
-      for (const HalfEdge& he : g.neighbors(v)) {
+      for_each_half_edge(g, v, [&](const HalfEdge& he) {
         EXPECT_EQ(he.label, he.label_at_other_end);
         EXPECT_EQ(std::size_t{v} ^ he.to, std::size_t{1} << (he.label - 1));
-      }
+      });
     }
     EXPECT_TRUE(is_connected(g));
   }
@@ -124,10 +124,13 @@ TEST(Builders, Petersen) {
   for (Vertex v = 0; v < 10; ++v) EXPECT_EQ(p.degree(v), 3u);
   // Girth 5: no triangles or 4-cycles through node 0 (spot check: none of
   // 0's neighbours are adjacent to each other).
-  const auto n0 = p.neighbors(0);
-  for (const auto& a : n0) {
-    for (const auto& b : n0) {
-      if (a.to != b.to) EXPECT_FALSE(p.has_edge(a.to, b.to));
+  std::vector<Vertex> n0;
+  for_each_neighbor(p, 0, [&](Vertex w) { n0.push_back(w); });
+  for (const Vertex a : n0) {
+    for (const Vertex b : n0) {
+      if (a != b) {
+        EXPECT_FALSE(p.has_edge(a, b));
+      }
     }
   }
 }

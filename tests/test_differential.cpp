@@ -92,13 +92,15 @@ void run_differential(const graph::Graph& g, std::size_t num_agents,
 
   for (int s = 0; s < steps; ++s) {
     const auto a = static_cast<sim::AgentId>(rng.below(num_agents));
-    const auto nbrs = g.neighbors(where[a]);
-    const auto& pick = nbrs[rng.below(nbrs.size())];
+    std::vector<graph::Vertex> nbrs;
+    graph::for_each_neighbor(g, where[a],
+                             [&](graph::Vertex w) { nbrs.push_back(w); });
+    const graph::Vertex to = nbrs[rng.below(nbrs.size())];
     // Drive the network exactly as the engine would (atomic arrival).
-    net.on_agent_departed(a, where[a], pick.to, s, "agent");
-    net.on_agent_arrived(a, pick.to, where[a], s + 0.5);
-    ref.move(where[a], pick.to);
-    where[a] = pick.to;
+    net.on_agent_departed(a, where[a], to, s, "agent");
+    net.on_agent_arrived(a, to, where[a], s + 0.5);
+    ref.move(where[a], to);
+    where[a] = to;
     compare(net, ref, g, s);
   }
 }

@@ -48,6 +48,23 @@ TEST(Dot, PortLabelsAndCustomAttributes) {
   EXPECT_NE(dot.find("label=\"1/1\""), std::string::npos);  // dimension 1
 }
 
+TEST(Dot, HypercubeWithPortLabelsIsByteStable) {
+  DotOptions options;
+  options.show_port_labels = true;
+  EXPECT_EQ(to_dot(make_hypercube(2), options),
+            "graph G {\n"
+            "  node [shape=circle, fontsize=10];\n"
+            "  n0 [label=\"00\"];\n"
+            "  n1 [label=\"01\"];\n"
+            "  n2 [label=\"10\"];\n"
+            "  n3 [label=\"11\"];\n"
+            "  n0 -- n1 [label=\"1/1\", fontsize=8];\n"
+            "  n0 -- n2 [label=\"2/2\", fontsize=8];\n"
+            "  n1 -- n3 [label=\"2/2\", fontsize=8];\n"
+            "  n2 -- n3 [label=\"1/1\", fontsize=8];\n"
+            "}\n");
+}
+
 TEST(Dot, EdgeCountMatchesGraph) {
   const Graph g = make_hypercube(3);
   const std::string dot = to_dot(g);

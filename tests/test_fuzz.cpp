@@ -112,6 +112,39 @@ TEST(FuzzCell, ZeroWidthUniformDelayIsRefusedWithADiagnostic) {
   EXPECT_NE(error.find("0 < lo < hi"), std::string::npos) << error;
 }
 
+TEST(FuzzCell, OutOfRangeFaultSpecIsRefusedWithADiagnostic) {
+  // FaultSchedule requires every rate in [0, 1] and stall_factor >= 1, so
+  // replaying these artifacts would abort; the loader must refuse them.
+  const struct {
+    const char* field;
+    double value;
+    const char* expect;
+  } cases[] = {
+      {"crash_rate", 2.0, "[0, 1]"},
+      {"link_stall_rate", -0.5, "[0, 1]"},
+      {"wb_loss_rate", 1e308, "[0, 1]"},
+      {"stall_factor", 0.5, ">= 1"},
+  };
+  const fs::path dir = fresh_dir("hcs_fuzz_bad_faults");
+  for (const auto& c : cases) {
+    Artifact artifact;
+    artifact.cell = known_bad_spec();
+    Json cell = artifact.cell.to_json();
+    Json faults = *cell.get("faults");
+    faults.set(c.field, c.value);
+    cell.set("faults", std::move(faults));
+    Json doc = artifact.to_json();
+    doc.set("cell", std::move(cell));
+    const fs::path path = dir / (std::string("art_") + c.field + ".json");
+    ASSERT_TRUE(write_json_file(doc, path.string()));
+
+    Artifact loaded;
+    std::string error;
+    EXPECT_FALSE(load_artifact(path.string(), &loaded, &error)) << c.field;
+    EXPECT_NE(error.find(c.expect), std::string::npos) << error;
+  }
+}
+
 TEST(FuzzCell, KnownBadSpecFailsWithStableSignature) {
   const CellResult result = run_cell(known_bad_spec());
   ASSERT_TRUE(result.failed());

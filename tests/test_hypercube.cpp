@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "graph/builders.hpp"
 #include "util/binomial.hpp"
 
 namespace hcs {
@@ -116,7 +117,7 @@ TEST(Hypercube, ClassNodesMatchMsb) {
 
 TEST(Hypercube, ToGraphRoundTrips) {
   const Hypercube cube(4);
-  const graph::Graph g = cube.to_graph();
+  const graph::Graph g = graph::make_hypercube(cube.dimension());
   EXPECT_EQ(g.num_nodes(), cube.num_nodes());
   EXPECT_EQ(g.num_edges(), cube.num_edges());
   for (NodeId x = 0; x < cube.num_nodes(); ++x) {

@@ -248,6 +248,18 @@ TEST(MacroEngine, FastPathEngagesForMonotoneSchedules) {
   }
 }
 
+TEST(MacroEngine, HasMacroProgramMatchesMacroProgram) {
+  // hcsd admits an explicit macro request on has_macro_program() alone, so
+  // it must agree with whether macro_program() yields a program.
+  const auto& registry = core::StrategyRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    const core::Strategy& strategy = registry.get(name);
+    EXPECT_EQ(strategy.has_macro_program(),
+              strategy.macro_program(4).has_value())
+        << name;
+  }
+}
+
 // =================================================================
 // compile_macro_program structure.
 

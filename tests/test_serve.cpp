@@ -190,6 +190,11 @@ TEST(Protocol, RejectsMalformedInputWithDiagnostics) {
       R"({"id":1,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"delay":{"kind":"uniform","lo":1.0}}})",
       R"({"id":1,"op":"run","shards":-2,"cell":{"strategy":"CLEAN","dimension":4}})",
       R"({"id":1,"op":"run","shards":"many","cell":{"strategy":"CLEAN","dimension":4}})",
+      // fault rates outside [0, 1] and stall factors below 1 would trip
+      // FaultSchedule's preconditions if they reached it.
+      R"({"id":1,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"faults":{"crash_rate":2.0,"wb_loss_rate":0,"wb_corrupt_rate":0,"wake_drop_rate":0,"link_stall_rate":0,"stall_factor":8,"seed":1,"events":[]}}})",
+      R"({"id":1,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"faults":{"crash_rate":0,"wb_loss_rate":0,"wb_corrupt_rate":0,"wake_drop_rate":-0.5,"link_stall_rate":0,"stall_factor":8,"seed":1,"events":[]}}})",
+      R"({"id":1,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"faults":{"crash_rate":0,"wb_loss_rate":0,"wb_corrupt_rate":0,"wake_drop_rate":0,"link_stall_rate":0,"stall_factor":0.5,"seed":1,"events":[]}}})",
   };
   for (const char* line : bad) {
     Request req;
@@ -365,6 +370,21 @@ TEST(Service, AdmissionErrorsForInvalidRuns) {
     EXPECT_NE(reply.line.find(c.expect), std::string::npos) << reply.line;
     EXPECT_FALSE(reply.shutdown);
   }
+  EXPECT_EQ(service.stats().executions, 0u);
+}
+
+TEST(Service, OutOfRangeFaultSpecGetsAnErrorReplyAndServiceStaysUp) {
+  ServiceConfig config;
+  config.threads = 1;
+  Service service(config);
+  const Service::Reply bad = service.handle(
+      R"({"id":1,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"faults":{"crash_rate":2.0,"wb_loss_rate":0,"wb_corrupt_rate":0,"wake_drop_rate":0,"link_stall_rate":0,"stall_factor":0.5,"seed":1,"events":[]}}})");
+  EXPECT_NE(bad.line.find("\"ok\":false"), std::string::npos) << bad.line;
+  EXPECT_NE(bad.line.find("crash_rate"), std::string::npos) << bad.line;
+
+  const Service::Reply ping = service.handle(R"({"id":2,"op":"ping"})");
+  EXPECT_NE(ping.line.find("\"pong\":true"), std::string::npos) << ping.line;
+  EXPECT_EQ(service.stats().errors, 1u);
   EXPECT_EQ(service.stats().executions, 0u);
 }
 

@@ -4,10 +4,9 @@
 // must produce byte-identical Metrics, RunResults, safety verdicts and
 // (where applicable) traces to the event-engine oracle, spawn_macro_team
 // on sim::Engine. The suite pins that contract across the strategy
-// registry, both hand-over semantics, crash-fault workloads (which run on
-// the event engine) and the run identity that must never see the knob:
-// hcs::CellKey, which sweep-snapshot fingerprints and the hcsd cache key
-// are built from.
+// registry, both hand-over semantics and crash-fault workloads (which run
+// on the event engine). That the run identity never sees the knob is
+// pinned where it is used, by Service.ShardCountNeverSplitsTheCache.
 //
 // The concurrency tests double as the TSan subjects (`ctest -L shard`
 // under the sanitizer matrix): they drive the barrier-phased path with
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cell_key.hpp"
 #include "core/session.hpp"
 #include "core/strategy_registry.hpp"
 #include "fault/fault.hpp"
@@ -302,20 +300,6 @@ TEST(ShardConcurrency, WideTicksUnderManyShards) {
     expect_identical(sharded, serial, "rep=" + std::to_string(rep));
   }
   unsetenv("HCS_SHARD_THREADS");
-}
-
-// =================================================================
-// Run identity must never see the shard knob.
-
-TEST(ShardIdentity, CellKeyIgnoresShards) {
-  sim::RunOptions a;
-  sim::RunOptions b;
-  a.shards = 1;
-  b.shards = 8;
-  const CellKey ka = CellKey::from_options("CLEAN", 10, a);
-  const CellKey kb = CellKey::from_options("CLEAN", 10, b);
-  EXPECT_EQ(ka, kb);
-  EXPECT_EQ(ka.hash(), kb.hash());
 }
 
 // =================================================================
