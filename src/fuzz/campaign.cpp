@@ -7,8 +7,8 @@
 
 #include "ckpt/store.hpp"
 #include "core/strategy_registry.hpp"
-#include "run/batch.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hcs::fuzz {
 
@@ -195,9 +195,13 @@ CellSpec campaign_cell(const CampaignAxes& axes, std::uint64_t campaign_seed,
   }
 
   // Fuzz cells are many and small; tighter guards than the sweep defaults
-  // keep a pathological cell from stalling a whole batch.
+  // keep a pathological cell from stalling a whole batch. The livelock
+  // window doubles with each dimension above 9, as the largest team
+  // (CLEAN-WITH-VISIBILITY's n/2 agents) does, so it spans the same
+  // number of whole-team wake rounds; cells up to H_9 keep 200,000.
   spec.max_agent_steps = 20'000'000;
-  spec.livelock_window = 200'000;
+  spec.livelock_window = std::uint64_t{200'000}
+                         << (spec.dimension > 9 ? spec.dimension - 9 : 0);
   spec.expect = axes.expect;
   spec.differential = axes.differential;
   return spec;
@@ -450,8 +454,8 @@ CampaignOutcome CampaignRunner::run(Manifest manifest,
                                base + i);
     }
     // Index-keyed result slots: the batch is bit-identical at any thread
-    // count (same primitive the sweep runner rides).
-    run::BatchRunner(config_.threads).run(batch, [&](std::size_t i) {
+    // count (the same discipline the sweep runner keeps).
+    ThreadPool(config_.threads).parallel_for(batch, [&](std::size_t i) {
       results[i] = run_cell(specs[i]);
     });
 

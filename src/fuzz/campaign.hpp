@@ -5,9 +5,10 @@
 // pure function of (axes, campaign_seed, i) -- never of thread count or
 // wall clock -- so re-running a campaign replays bit-identical cells, and
 // `resume` continues exactly where a previous process stopped. Cells
-// execute in batches on run::BatchRunner (the same determinism primitive
-// the sweep runner uses); after each batch the manifest is rewritten, so a
-// killed campaign loses at most one batch of progress.
+// execute in batches on ThreadPool::parallel_for, each result in its
+// index's slot (the determinism discipline the sweep runner keeps); after
+// each batch the manifest is rewritten, so a killed campaign loses at
+// most one batch of progress.
 //
 // Every failing cell is persisted as an *artifact*: a JSON document
 // carrying the full CellSpec plus the observed failure set. Artifacts are

@@ -264,12 +264,12 @@ std::string compare_runs(const Executed& a, const Executed& b,
 /// The engine oracle (the fifth differential): the strategy's compiled
 /// macro program executed by sim::Engine driving ScheduleAgents versus one
 /// untraced run of sim::ShardedMacroEngine at the cell's shard count, so
-/// the bitplane fast path -- single-shard fused loop and sharded phases
-/// alike -- replays every eligible cell. The two must agree on metrics,
-/// run result and safety verdicts. Returns the first divergence, or empty
-/// when the executors agree or the cell is not macro-eligible (non-fifo
-/// wake policy, non-unit delay, or a strategy without a compiled
-/// program).
+/// the bitplane fast path -- the tick body inline at one shard and in
+/// sharded phases alike -- replays every eligible cell. The two must agree
+/// on metrics, run result and safety verdicts. Returns the first
+/// divergence, or empty when the executors agree or the cell is not
+/// macro-eligible (non-fifo wake policy, non-unit delay, or a strategy
+/// without a compiled program).
 std::string macro_engine_divergence(const CellSpec& spec,
                                     const core::Strategy& strategy) {
   sim::RunOptions cfg;

@@ -9,10 +9,10 @@
 
 #include "ckpt/store.hpp"
 #include "core/strategy_registry.hpp"
-#include "run/batch.hpp"
 #include "run/sweep_ckpt.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hcs::run {
 
@@ -179,9 +179,10 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
 
   obs::Span sweep_span(config_.obs, "sweep.run");
   if (config_.checkpoint_dir.empty()) {
-    BatchRunner(config_.threads).run(result.cells.size(), [&](std::size_t i) {
-      result.cells[i] = run_sweep_cell(spec, i, config_.obs);
-    });
+    ThreadPool(config_.threads)
+        .parallel_for(result.cells.size(), [&](std::size_t i) {
+          result.cells[i] = run_sweep_cell(spec, i, config_.obs);
+        });
     return result;
   }
 
@@ -216,7 +217,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
       config_.checkpoint_every_cells == 0 ? 1 : config_.checkpoint_every_cells;
   for (std::size_t start = 0; start < pending.size(); start += chunk_cells) {
     const std::size_t end = std::min(start + chunk_cells, pending.size());
-    BatchRunner(config_.threads).run(end - start, [&](std::size_t k) {
+    ThreadPool(config_.threads).parallel_for(end - start, [&](std::size_t k) {
       const std::size_t i = pending[start + k];
       result.cells[i] = run_sweep_cell(spec, i, config_.obs);
     });

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "core/cell_key.hpp"
-#include "obs/export.hpp"
 #include "util/csv.hpp"
 #include "util/strfmt.hpp"
 
@@ -148,24 +147,6 @@ bool write_sweep_csv(const SweepResult& result, const std::string& path) {
 
 bool write_sweep_json(const SweepResult& result, const std::string& path) {
   return write_string(sweep_json(result), path);
-}
-
-std::string sweep_profile_json(const obs::Snapshot& snapshot) {
-  return obs::snapshot_json(snapshot);
-}
-
-std::string sweep_profile_csv(const obs::Snapshot& snapshot) {
-  return obs::snapshot_csv(snapshot);
-}
-
-bool write_sweep_profile_json(const obs::Snapshot& snapshot,
-                              const std::string& path) {
-  return write_string(sweep_profile_json(snapshot), path);
-}
-
-bool write_sweep_profile_csv(const obs::Snapshot& snapshot,
-                             const std::string& path) {
-  return write_string(sweep_profile_csv(snapshot), path);
 }
 
 Table sweep_cells_table(const SweepResult& result) {

@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "obs/obs.hpp"
 #include "run/sweep.hpp"
 #include "util/table.hpp"
 
@@ -23,18 +22,6 @@ namespace hcs::run {
 /// Writes the rendering to `path`; false on I/O failure.
 bool write_sweep_csv(const SweepResult& result, const std::string& path);
 bool write_sweep_json(const SweepResult& result, const std::string& path);
-
-/// Profile sinks: the observability snapshot of a sweep (the registry
-/// handed to SweepRunner::Config::obs), in the obs exporters' stable
-/// JSON / CSV formats. Counter and histogram totals are deterministic at
-/// any worker count, so equal sweeps render byte-equal profiles modulo
-/// wall-clock span timings.
-[[nodiscard]] std::string sweep_profile_json(const obs::Snapshot& snapshot);
-[[nodiscard]] std::string sweep_profile_csv(const obs::Snapshot& snapshot);
-bool write_sweep_profile_json(const obs::Snapshot& snapshot,
-                              const std::string& path);
-bool write_sweep_profile_csv(const obs::Snapshot& snapshot,
-                             const std::string& path);
 
 /// Per-cell outcome table (strategy, d, seed, delay, ... , verdicts).
 [[nodiscard]] Table sweep_cells_table(const SweepResult& result);

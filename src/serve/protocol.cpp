@@ -103,6 +103,7 @@ bool parse_cell(const Json& json, Request* out, std::string* error) {
 }  // namespace
 
 bool parse_request(std::string_view line, Request* out, std::string* error) {
+  out->id = 0;
   std::string parse_error;
   const std::optional<Json> doc = Json::parse(line, &parse_error);
   if (!doc.has_value()) {
@@ -114,6 +115,7 @@ bool parse_request(std::string_view line, Request* out, std::string* error) {
   const Json* id = get_uint(*doc, "id");
   if (id == nullptr) return fail(error, "request missing unsigned \"id\"");
   req.id = id->as_uint();
+  out->id = req.id;  // a refused request is still answered under its id
 
   const Json* op = doc->get("op");
   if (op == nullptr || !op->is_string()) {

@@ -63,7 +63,8 @@ struct Request {
 };
 
 /// Parses one request line. False -- with a one-line diagnostic in
-/// `*error` -- on any malformed input; `*out` is unspecified then. Never
+/// `*error` -- on any malformed input; `*out` is unspecified then, except
+/// `out->id`: the request's id once a valid one was read, else 0. Never
 /// aborts. Shape-only: unknown strategies, oversized dimensions and
 /// macro-ineligible cells are admission decisions made by serve::Service.
 [[nodiscard]] bool parse_request(std::string_view line, Request* out,

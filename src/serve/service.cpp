@@ -38,7 +38,7 @@ Service::Reply Service::handle(std::string_view line) {
   std::string error;
   if (!parse_request(line, &req, &error)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return {error_reply(0, error), false};
+    return {error_reply(req.id, error), false};
   }
 
   requests_.fetch_add(1, std::memory_order_relaxed);

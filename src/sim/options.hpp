@@ -75,7 +75,7 @@ struct RunOptions {
   /// historical behaviour for every existing call site.
   EngineKind engine = EngineKind::kEvent;
   /// Subcube shards for the macro executor's fast path (sim/shard.hpp):
-  /// 1 = one shard, every tick on the fused loop (the default), 0 = auto
+  /// 1 = one shard, every tick run inline (the default), 0 = auto
   /// (min(hardware threads, 2^(d-10))), N = round down to a power of two.
   /// Purely an execution detail -- results are byte-identical at any value
   /// and it never enters hcs::CellKey (so neither sweep-snapshot

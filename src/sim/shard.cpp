@@ -26,8 +26,8 @@ ShardPlan ShardPlan::resolve(std::uint32_t requested, unsigned hc_dim,
   std::uint64_t want = requested;
   if (want == 0) {
     // Auto: one shard per hardware thread, but never slice a dimension
-    // below a 1024-node subcube -- smaller runs are calendar-bound and
-    // the partition would only add barriers.
+    // below a 1024-node subcube -- smaller runs have few ticks wide
+    // enough to phase, and the partition would only add barriers.
     const unsigned cap_bits = hc_dim > 10 ? hc_dim - 10 : 0;
     want = std::min<std::uint64_t>(hw_threads, std::uint64_t{1} << cap_bits);
   }
@@ -44,69 +44,6 @@ ShardPlan ShardPlan::resolve(std::uint32_t requested, unsigned hc_dim,
   plan.words_per_shard =
       (std::size_t{1} << (hc_dim - 6)) / plan.shards;
   return plan;
-}
-
-// --------------------------------------------------------------- Calendar
-
-ShardedMacroEngine::Calendar::Calendar(std::size_t ring_ticks)
-    : ring_(ring_ticks), mask_(static_cast<std::uint32_t>(ring_ticks - 1)) {
-  HCS_EXPECTS(std::has_single_bit(ring_ticks));
-}
-
-void ShardedMacroEngine::Calendar::push_far(std::uint32_t time,
-                                            AgentId agent) {
-  // Far sleeps keep their push order via the sequence number;
-  // every far push for a tick happens strictly before any ring push
-  // for it (the ring window has not reached the tick yet), so heap
-  // entries always drain ahead of the ring slot.
-  heap_.push_back(Far{time, push_seq_++, agent});
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const Far& a, const Far& b) {
-                   return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-                 });
-}
-
-bool ShardedMacroEngine::Calendar::next(std::uint32_t* time,
-                                        std::vector<AgentId>* bucket) {
-  if (ring_pending_ == 0 && heap_.empty()) return false;
-  const auto heap_cmp = [](const Far& a, const Far& b) {
-    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-  };
-  std::uint32_t t = heap_.empty() ? ~std::uint32_t{0} : heap_.front().time;
-  if (ring_pending_ > 0) {
-    // The nearest pending ring slot is at most ring_.size() - 1 ticks
-    // ahead (pushes land inside the window); stop early if the heap's
-    // top tick comes first.
-    for (std::uint32_t tt = cur_ + 1;; ++tt) {
-      if (tt > t) break;
-      if (!ring_[tt & (ring_.size() - 1)].empty()) {
-        t = tt;
-        break;
-      }
-      HCS_ASSERT(tt - cur_ < ring_.size());
-    }
-  }
-  cur_ = t;
-  std::vector<AgentId>& slot = ring_[t & (ring_.size() - 1)];
-  if (heap_.empty() || heap_.front().time != t) {
-    // Common case: one source; swap buffers so slot capacity is reused.
-    bucket->clear();
-    std::swap(*bucket, slot);
-    ring_pending_ -= bucket->size();
-    *time = t;
-    return true;
-  }
-  bucket->clear();
-  while (!heap_.empty() && heap_.front().time == t) {
-    std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-    bucket->push_back(heap_.back().agent);
-    heap_.pop_back();
-  }
-  bucket->insert(bucket->end(), slot.begin(), slot.end());
-  ring_pending_ -= slot.size();
-  slot.clear();
-  *time = t;
-  return true;
 }
 
 // ----------------------------------------------------- ShardedMacroEngine
@@ -198,6 +135,7 @@ bool ShardedMacroEngine::run_fast(const MacroProgram& prog,
                                   RunResult* result) {
   const std::size_t n = net_->num_nodes();
   const std::size_t m = prog.num_agents();
+  const std::size_t moves = prog.steps.size();
   const graph::Graph& g = net_->graph();
   const unsigned hc_dim = g.hypercube_dim();
   const unsigned shards = plan_.shards;
@@ -205,288 +143,181 @@ bool ShardedMacroEngine::run_fast(const MacroProgram& prog,
   // Abort-guard interactions (step caps, livelock windows) cannot be
   // reproduced after the fact; leave any run that could plausibly trip
   // them to the event engine, which aborts exactly where it must.
-  const std::uint64_t step_bound = 2 * prog.steps.size() + 2 * m;
+  const std::uint64_t step_bound = 2 * moves + 2 * m;
   if (step_bound >= cfg_.max_agent_steps || m >= cfg_.livelock_window) {
     return false;
   }
 
-  std::vector<FRec> recs(m);
-  guarded_ = Bitplane(n);
+  // Closed-form counts: a step departing after its agent became free
+  // costs one sleep and one wake-up event. `ticks` ends past the last
+  // departure, so it is also the last arrival tick.
+  HCS_EXPECTS(prog.agent_offsets.back() == moves &&
+              "every step belongs to an agent");
+  std::uint64_t sleeps = 0;
+  std::uint32_t ticks = 0;
+  for (std::size_t a = 0; a < m; ++a) {
+    std::uint32_t free = 0;
+    graph::Vertex at = prog.homebase;
+    const std::uint32_t end = prog.agent_offsets[a + 1];
+    for (std::uint32_t i = prog.agent_offsets[a]; i < end; ++i) {
+      const MacroProgram::Step& s = prog.steps[i];
+      // A step due before its agent is free departs late on the event
+      // engine; leave such a program to it.
+      if (s.time < free) return false;
+      HCS_ASSERT(s.from == at);
+      if (s.time > free) ++sleeps;
+      free = s.time + 1;
+      at = s.to;
+    }
+    ticks = std::max(ticks, free);
+  }
+
+  // Tick index: step indices counting-sorted by departure tick, in index
+  // order within a tick. tick_end[t] ends tick t's run of `order`.
+  std::vector<std::uint32_t> tick_end(ticks, 0);
+  for (const MacroProgram::Step& s : prog.steps) ++tick_end[s.time];
+  std::uint32_t offset = 0;
+  for (std::uint32_t& e : tick_end) offset += std::exchange(e, offset);
+  std::vector<std::uint32_t> order(moves);
+  for (std::uint32_t i = 0; i < moves; ++i) {
+    order[tick_end[prog.steps[i].time]++] = i;
+  }
+
   contaminated_ = Bitplane(n, true);
   visited_ = Bitplane(n);
+  if (hc_dim != 0) frontier_ = Bitplane(n);
   fast_metrics_ = Metrics{};
   counts_.assign(n, 0);
-  if (shards > 1) {
-    cleaned_tick_ = Bitplane(n);
-    clean_stamp_.assign(n, 0);
-    scratch_.assign(shards, ShardScratch{});
-  }
+  clean_stamp_.assign(n, 0);
+  scratch_.assign(shards, ShardScratch{});
   const std::size_t words = contaminated_.num_words();
 
   const graph::Vertex home = prog.homebase;
-  for (std::size_t i = 0; i < m; ++i) {
-    recs[i] = FRec{prog.agent_offsets[i], prog.agent_offsets[i + 1], home};
-  }
   counts_[home] = static_cast<std::uint32_t>(m);
   std::uint64_t contam_count = n;
   if (m > 0) {
     visited_.set(home);
-    guarded_.set(home);
     contaminated_.clear(home);
     --contam_count;
   }
 
-  Calendar cal(4096);
-  std::uint64_t events = 0;
-  std::uint64_t steps = 0;
-  SimTime end_time = kTimeZero;
-  bool captured = false;
-  SimTime capture_time = -1.0;
+  // The tick being applied: its steps [first, last), its arrival tick,
+  // and the tick-start frontier when the tick is wide enough to build it.
+  const std::uint32_t* first = order.data();
+  const std::uint32_t* last = order.data();
+  std::uint32_t arrival = 0;
+  const Bitplane* frontier = nullptr;
 
-  // One step of agent a at tick t, pushing through `push` (a calendar
-  // push for the leader, a chunk-local list inside P0): park, sleep until
-  // the next departure, or start the next traversal (arrival at t + 1).
-  const auto step_fast = [&prog, &recs](AgentId a, std::uint32_t t,
-                                        auto&& push) {
-    FRec& r = recs[a];
-    if (r.cur == r.end) {
-      r.state = FState::kDone;
-      return;
+  // The tick body over the nodes `owns` accepts. Apply: departures, then
+  // arrivals, so a release is any count the tick's departures empty.
+  const auto apply = [&](ShardScratch& sc, auto owns) {
+    sc.releases.clear();
+    for (const std::uint32_t* k = first; k != last; ++k) {
+      const MacroProgram::Step& s = prog.steps[*k];
+      if (s.from != s.to && owns(s.from)) {
+        HCS_ASSERT(counts_[s.from] > 0);
+        if (--counts_[s.from] == 0) sc.releases.push_back(s.from);
+      }
     }
-    const MacroProgram::Step& s = prog.steps[r.cur];
-    if (t < s.time) {
-      r.state = FState::kSleeping;
-      push(s.time, a);
-      return;
+    const std::uint64_t stamp = std::uint64_t{arrival} << 32;
+    std::uint64_t cleans = 0;
+    for (const std::uint32_t* k = first; k != last; ++k) {
+      const MacroProgram::Step& s = prog.steps[*k];
+      if (!owns(s.to)) continue;
+      ++counts_[s.to];
+      visited_.set(s.to);
+      if (contaminated_.test(s.to)) {
+        contaminated_.clear(s.to);
+        clean_stamp_[s.to] = stamp | s.from;
+        ++cleans;
+      }
     }
-    HCS_ASSERT(r.at == s.from);
-    ++r.cur;
-    r.state = FState::kInTransit;
-    r.moving_to = s.to;
-    push(t + 1, a);
+    sc.cleans = cleans;
+  };
+  // Certify: releasing x is safe in every order of the tick's moves iff
+  // no neighbour is contaminated now or was cleaned this tick from a node
+  // other than x.
+  const auto certify = [&](ShardScratch& sc) {
+    sc.exposed = false;
+    for (const graph::Vertex x : sc.releases) {
+      if (frontier != nullptr && !frontier->test(x)) continue;
+      if (graph::any_neighbor(g, x, [&](graph::Vertex w) {
+            const std::uint64_t stamp = clean_stamp_[w];
+            return contaminated_.test(w) ||
+                   ((stamp >> 32) == arrival &&
+                    static_cast<graph::Vertex>(stamp) != x);
+          })) {
+        sc.exposed = true;
+        return;
+      }
+    }
   };
 
-  const auto cal_push = [&cal](std::uint32_t time, AgentId a) {
-    cal.push(time, a);
-  };
-
-  // Spawn steps, in agent order like the event engine's first dispatch.
-  for (std::size_t i = 0; i < m; ++i) {
-    ++steps;
-    step_fast(static_cast<AgentId>(i), 0, cal_push);
-  }
-
-  // Ticks below this stay on the fused serial loop: the phase split pays
-  // off once a bucket spans the plane (cache-blocked node passes) and
-  // feeds every shard (the CLEAN token walk averages ~1 event per tick).
-  // A single shard never leaves the fused loop.
+  // Ticks below this run the body inline: the phase split pays off once
+  // a tick spans the plane (cache-blocked node passes) and feeds every
+  // shard (the CLEAN token walk averages ~1 move per tick). A single
+  // shard never phases.
   const std::size_t phase_threshold =
       shards > 1 ? std::max<std::size_t>(words, std::size_t{64} * shards)
                  : ~std::size_t{0};
   const unsigned node_shift = plan_.node_shift;
   const std::size_t wps = plan_.words_per_shard;
 
-  std::vector<AgentId> bucket;
-  std::uint32_t t = 0;
-  while (cal.next(&t, &bucket)) {
-    const std::size_t b = bucket.size();
-    events += b;
-    steps += b;
-    end_time = static_cast<SimTime>(t);
+  SimTime capture_time = -1.0;
+  for (std::uint32_t t = 0; t < ticks; ++t) {
+    first = last;
+    last = order.data() + tick_end[t];
+    const std::size_t b = static_cast<std::size_t>(last - first);
+    if (b == 0) continue;
+    arrival = t + 1;
+    // On wide ticks one O(d * words) neighbour union clears most releases
+    // wholesale: contamination only shrinks within a tick, so a node with
+    // no contaminated neighbour at tick start needs no probe.
+    frontier = hc_dim != 0 && b >= words ? &frontier_ : nullptr;
 
-    if (b < phase_threshold) {
-      // Fused tick. Word-wide pass: for big level sweeps, one O(d * words)
-      // neighbour union certifies most releases wholesale -- contamination
-      // only shrinks inside a fault-free tick, so a node with no
-      // contaminated neighbour at tick start has none now; only frontier
-      // nodes need the exact per-release probe.
-      const Bitplane* frontier = nullptr;
-      if (hc_dim != 0 && b >= words) {
+    const bool phased = b >= phase_threshold;
+    const std::size_t used = phased ? shards : 1;
+    if (!phased) {
+      if (frontier != nullptr) {
         neighbor_union(contaminated_, hc_dim, &frontier_);
-        frontier = &frontier_;
       }
-      for (std::size_t k = 0; k < b; ++k) {
-        const AgentId a = bucket[k];
-        FRec& r = recs[a];
-        if (r.state == FState::kInTransit) {
-          const graph::Vertex from = r.at;
-          const graph::Vertex to = r.moving_to;
-          r.at = to;
-          r.state = FState::kRunnable;
-          ++counts_[to];
-          visited_.set(to);
-          if (contaminated_.test(to)) {
-            contaminated_.clear(to);
-            --contam_count;
-          }
-          guarded_.set(to);
-          if (from != to) {
-            HCS_ASSERT(counts_[from] > 0);
-            if (--counts_[from] == 0) {
-              guarded_.clear(from);
-              // Exposed: some neighbour (the d XOR partners on a
-              // hypercube, the adjacency list elsewhere) is contaminated.
-              if ((frontier == nullptr || frontier->test(from)) &&
-                  graph::any_neighbor(g, from, [&](graph::Vertex w) {
-                    return contaminated_.test(w);
-                  })) {
-                return false;  // bail to the event engine
-              }
-            }
-          }
-          if (!captured && contam_count == 0) {
-            captured = true;
-            capture_time = static_cast<SimTime>(t);
-          }
-        } else {
-          HCS_ASSERT(r.state == FState::kSleeping);
-          r.state = FState::kRunnable;
-        }
-        step_fast(a, t, cal_push);
-      }
-      continue;
-    }
-
-    // ---- P0: agent phase. Chunks own disjoint agent records (an agent
-    // occupies at most one bucket slot per tick); arrival records land at
-    // their bucket position, pushes collect per chunk.
-    arrivals_.resize(b);
-    parallel_shards([&](std::size_t c) {
-      ShardScratch& sc = scratch_[c];
-      sc.pushes.clear();
-      const std::size_t k0 = b * c / shards;
-      const std::size_t k1 = b * (c + 1) / shards;
-      for (std::size_t k = k0; k < k1; ++k) {
-        const AgentId a = bucket[k];
-        FRec& r = recs[a];
-        if (r.state == FState::kInTransit) {
-          arrivals_[k] = Arrival{r.at, r.moving_to};
-          r.at = r.moving_to;
-          r.state = FState::kRunnable;
-        } else {
-          HCS_ASSERT(r.state == FState::kSleeping);
-          arrivals_[k] = Arrival{kNoArrival, kNoArrival};
-          r.state = FState::kRunnable;
-        }
-        step_fast(a, t, [&sc](std::uint32_t time, AgentId agent) {
-          sc.pushes.emplace_back(time, agent);
-        });
-      }
-    });
-    // Merging chunk push lists in chunk order restores the fused loop's
-    // push order (chunks partition the bucket's positions in order).
-    for (unsigned c = 0; c < shards; ++c) {
-      for (const auto& [time, agent] : scratch_[c].pushes) {
-        cal.push(time, agent);
-      }
-    }
-
-    // ---- P1: node phase. Every shard replays the full record sequence
-    // and applies the updates it owns; per-node update order is the
-    // fused loop's because ownership is a partition.
-    const std::uint64_t tick_stamp = std::uint64_t{t} << 32;
-    parallel_shards([&](std::size_t s) {
-      ShardScratch& sc = scratch_[s];
-      sc.releases.clear();
-      sc.cleans = 0;
-      sc.exposed = false;
-      const auto cw = cleaned_tick_.words();
-      std::fill(cw.begin() + static_cast<std::ptrdiff_t>(s * wps),
-                cw.begin() + static_cast<std::ptrdiff_t>((s + 1) * wps), 0);
-      for (std::size_t k = 0; k < b; ++k) {
-        const Arrival& ar = arrivals_[k];
-        if (ar.from == kNoArrival) continue;
-        if ((ar.to >> node_shift) == s) {
-          ++counts_[ar.to];
-          visited_.set(ar.to);
-          if (contaminated_.test(ar.to)) {
-            contaminated_.clear(ar.to);
-            cleaned_tick_.set(ar.to);
-            clean_stamp_[ar.to] = tick_stamp | static_cast<std::uint32_t>(k);
-            ++sc.cleans;
-          }
-          guarded_.set(ar.to);
-        }
-        if (ar.from != ar.to && (ar.from >> node_shift) == s) {
-          HCS_ASSERT(counts_[ar.from] > 0);
-          if (--counts_[ar.from] == 0) {
-            guarded_.clear(ar.from);
-            sc.releases.push_back(
-                Release{ar.from, static_cast<std::uint32_t>(k)});
-          }
-        }
-      }
-    });
-    std::uint64_t cleans = 0;
-    std::size_t releases = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      cleans += scratch_[s].cleans;
-      releases += scratch_[s].releases.size();
-    }
-    contam_count -= cleans;
-    if (!captured && contam_count == 0) {
-      captured = true;
-      capture_time = static_cast<SimTime>(t);
-    }
-
-    // ---- P2: exposure certificates. A release at position K was safe
-    // iff every neighbour was clean at that moment: not contaminated at
-    // end of tick, and not cleaned at a later position this tick.
-    if (releases != 0) {
-      const Bitplane* frontier = nullptr;
-      if (releases >= words) {
-        // contamination-at-tick-start = end state + this tick's cleans;
-        // its word-sliced neighbour union certifies non-frontier releases
-        // wholesale, exactly like the fused loop's frontier plane.
-        if (contam_start_.size() != n) contam_start_ = Bitplane(n);
-        if (frontier_.size() != n) frontier_ = Bitplane(n);
-        parallel_shards([&](std::size_t s) {
-          const auto src = contaminated_.words();
-          const auto cln = cleaned_tick_.words();
-          const auto dst = contam_start_.words();
-          for (std::size_t w = s * wps; w < (s + 1) * wps; ++w) {
-            dst[w] = src[w] | cln[w];
-          }
-        });
-        parallel_shards([&](std::size_t s) {
-          neighbor_union_range(contam_start_, hc_dim, &frontier_, s * wps,
-                               (s + 1) * wps);
-        });
-        frontier = &frontier_;
-      }
+      apply(scratch_[0], [](graph::Vertex) { return true; });
+      certify(scratch_[0]);
+    } else {
       parallel_shards([&](std::size_t s) {
-        ShardScratch& sc = scratch_[s];
-        for (const Release& rel : sc.releases) {
-          if (frontier != nullptr && !frontier->test(rel.node)) continue;
-          for (unsigned j = 0; j < hc_dim; ++j) {
-            const graph::Vertex v = rel.node ^ (graph::Vertex{1} << j);
-            const std::uint64_t stamp = clean_stamp_[v];
-            if (contaminated_.test(v) ||
-                (stamp >= tick_stamp &&
-                 static_cast<std::uint32_t>(stamp) > rel.pos)) {
-              sc.exposed = true;
-              return;
-            }
-          }
-        }
+        neighbor_union_range(contaminated_, hc_dim, &frontier_, s * wps,
+                             (s + 1) * wps);
       });
-      for (unsigned s = 0; s < shards; ++s) {
-        if (scratch_[s].exposed) return false;  // bail to the event engine
-      }
+      parallel_shards([&](std::size_t s) {  // P1
+        apply(scratch_[s], [s, node_shift](graph::Vertex v) {
+          return (v >> node_shift) == s;
+        });
+      });
+      parallel_shards([&](std::size_t s) { certify(scratch_[s]); });  // P2
+    }
+    for (std::size_t s = 0; s < used; ++s) {
+      if (scratch_[s].exposed) return false;  // bail to the event engine
+      contam_count -= scratch_[s].cleans;
+    }
+    if (capture_time < 0 && contam_count == 0) {
+      capture_time = static_cast<SimTime>(arrival);
     }
   }
 
+  const auto end_time = static_cast<SimTime>(ticks);
   fast_metrics_.agents_spawned = m;
-  fast_metrics_.total_moves = prog.steps.size();
+  fast_metrics_.total_moves = moves;
   for (std::size_t i = 0; i < m; ++i) {
-    const std::uint64_t moves =
+    const std::uint64_t agent_moves =
         prog.agent_offsets[i + 1] - prog.agent_offsets[i];
-    if (moves != 0) fast_metrics_.moves_by_role[prog.role(i)] += moves;
+    if (agent_moves != 0) {
+      fast_metrics_.moves_by_role[prog.role(i)] += agent_moves;
+    }
   }
   fast_metrics_.makespan = end_time;
   fast_metrics_.nodes_visited = visited_.popcount();
-  fast_metrics_.events_processed = events;
-  fast_metrics_.agent_steps = steps;
+  fast_metrics_.events_processed = moves + sleeps;
+  fast_metrics_.agent_steps = m + moves + sleeps;
 
   *result = RunResult{};
   result->all_terminated = true;

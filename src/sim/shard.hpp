@@ -1,19 +1,49 @@
 // sim::ShardedMacroEngine -- the macro executor: bitplane replay of a
 // compiled MacroProgram, optionally split across subcube shards.
 //
-// Node state lives in packed bitplanes (sim/bitplane.hpp) -- guarded /
-// contaminated / visited -- plus a per-node guard counter; the Network is
-// never touched. Ticks come off a calendar (a ring of reusable near-future
-// buckets plus a stable far-future heap) in the event engine's exact
-// (time, seq) order, and each popped entry is followed immediately by its
-// agent's next step, so counts, planes, Metrics and the RunResult match
-// spawn_macro_team() on sim::Engine byte for byte.
+// Node state lives in packed bitplanes (sim/bitplane.hpp) -- contaminated
+// and visited -- plus a per-node guard counter; the Network is never
+// touched. The fast path schedules nothing: it reads the program.
+//
+//   * Counts in closed form. One pass over each agent's steps gives what
+//     the event engine counts. An agent becomes free at tick 0 when
+//     spawned, then at time + 1 of its previous step; a step departing
+//     later than that costs one sleep and one wake-up event. So events =
+//     moves + sleeps, agent steps = agents + events, and the makespan is
+//     the last arrival tick (0 without moves).
+//   * A tick index. The step indices, counting-sorted by departure tick
+//     into two flat arrays: one end offset per tick, one index per step.
+//   * One tick body. The moves departing at tick t land at t + 1. The
+//     body applies every departure first (a guard count that reaches 0 is
+//     a release), then every arrival (a cleaned node is stamped with
+//     (t + 1, source)), then certifies each release.
+//
+// The certificate. The program does not order the moves of one tick; the
+// event engine lands them in its own (time, seq) order. Releasing x is
+// safe in every order of the tick's moves iff no neighbour of x is
+// contaminated at the end of the tick and no neighbour was cleaned during
+// the tick by a move from a node other than x.
+//   - Sound for every program: a neighbour contaminated at the end was
+//     contaminated all tick, and a cleaning from a third node may land
+//     after x's last guard leaves. x's own moves cannot: under the
+//     atomic-arrival hand-over an agent in transit still guards its
+//     origin, so they land no later than x's release. A node entered
+//     from two sources in one tick keeps the first one's stamp in index
+//     order, which can only make the check stricter.
+//   - Exact for the registered strategies: CLEAN, NAIVE-LEVEL-SWEEP and
+//     TREE-SWEEP move one agent per tick, and in the CLEAN-WITH-VISIBILITY
+//     and SYNCHRONOUS waves a node is entered only from its broadcast-tree
+//     parent, after its smaller neighbours are clean.
+// A release that fails the certificate bails to the event engine, so a
+// hand-built program whose safety rests on the event engine's in-tick
+// order runs there, with the same results. On wide ticks the tick-start
+// frontier (nodes with a neighbour contaminated when the tick began)
+// filters the releases, since an exposure needs such a neighbour.
 //
 // The fast path covers the default measurement configuration: no trace,
 // no faults, atomic-arrival hand-over, and a program too short to trip the
-// step cap or the livelock window. It bails the moment a vacated node
-// would be exposed to a contaminated neighbour. Every other run -- and
-// every bail, on the untouched Network -- executes sim::Engine driving
+// step cap or the livelock window. Every other run -- and every bail, on
+// the untouched Network -- executes sim::Engine driving
 // spawn_macro_team(), so the slow path IS the oracle.
 //
 // Sharding (shards > 1 after ShardPlan::resolve) splits the planes into
@@ -25,31 +55,23 @@
 // only the top k dimensions cross shard boundaries, and on the packed
 // layout those are fixed-offset word reads (bitplane
 // neighbor_union_range) -- never writes -- so shards synchronize with
-// plain per-tick barriers. Each large tick then runs three phases:
+// plain per-tick barriers. A wide tick runs the tick body per shard:
 //
-//   P0  agent phase: bucket entries are chunked; each chunk advances its
-//       agents' program cursors (an agent appears at most once per tick,
-//       so chunks touch disjoint records) and emits an arrival record per
-//       entry. Calendar pushes are merged in chunk order after the
-//       barrier, reproducing the fused loop's push order exactly.
-//   P1  node phase: every shard scans the tick's arrival records in
-//       order and applies the guard-count / plane updates for the nodes
-//       it owns. Per node, the update sequence is the fused loop's (each
-//       node has one owner), so counts, planes and guard-zero transitions
-//       are bit-identical at any shard count.
-//   P2  exposure phase: each guard release recorded in P1 carries its
-//       in-tick sequence number; a release at position K was exposed iff
-//       some neighbour is still contaminated at end of tick or was
-//       cleaned later in the tick (clean stamps carry (tick, position)).
-//       That certificate is exactly the fused loop's transient check,
-//       evaluated after the fact; any exposure bails to the event engine.
+//   P1  every shard scans the tick's steps in index order and applies
+//       the departures and arrivals of the nodes it owns. Each node has
+//       one owner, so counts, planes, stamps and releases are
+//       bit-identical at any shard count.
+//   P2  every shard certifies its own releases, reading neighbours'
+//       planes and stamps across shard boundaries after the barrier.
 //
-// Small ticks (the CLEAN protocol's token passing averages ~1 event per
-// tick), and every tick of a single-shard run, take the fused loop, which
-// handles any topology: hypercubes probe the d XOR neighbours, other
-// graphs (TREE-SWEEP's broadcast tree) walk their adjacency. Shard count
-// is an execution detail and never enters hcs::CellKey (run identity),
-// checkpoint fingerprints or cache keys.
+// The tick-start frontier is sliced per shard behind a barrier of its
+// own before P1, because each slice reads other shards' words. Narrow
+// ticks (the CLEAN protocol's token passing averages ~1 move per tick),
+// and every tick of a single-shard run, run the body inline over every
+// node, which handles any topology: hypercubes probe the d XOR
+// neighbours, other graphs (TREE-SWEEP's broadcast tree) walk their
+// adjacency. Shard count is an execution detail and never enters
+// hcs::CellKey (run identity), checkpoint fingerprints or cache keys.
 
 #pragma once
 
@@ -63,7 +85,6 @@
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/options.hpp"
-#include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hcs::sim {
@@ -121,78 +142,14 @@ class ShardedMacroEngine {
   [[nodiscard]] bool used_sharded_path() const {
     return fast_completed_ && plan_.shards > 1;
   }
-  /// The resolved partition (shards == 1 runs every tick on the fused
-  /// loop).
+  /// The resolved partition (shards == 1 runs every tick body inline).
   [[nodiscard]] const ShardPlan& plan() const { return plan_; }
 
  private:
-  enum class FState : std::uint8_t { kRunnable, kInTransit, kSleeping, kDone };
-
-  struct FRec {
-    std::uint32_t cur = 0;
-    std::uint32_t end = 0;
-    graph::Vertex at = 0;
-    graph::Vertex moving_to = 0;
-    FState state = FState::kRunnable;
-  };
-
-  /// One arrival record: the inter-phase hand-off from P0 to P1/P2.
-  /// Sleep wake-ups occupy a bucket position but carry no node update;
-  /// they are recorded as {kNoArrival, ...} so positions keep the fused
-  /// loop's in-tick ordering.
-  struct Arrival {
-    graph::Vertex from;
-    graph::Vertex to;
-  };
-  static constexpr graph::Vertex kNoArrival = ~graph::Vertex{0};
-
-  /// A guard count that hit zero in P1: the node and the in-tick arrival
-  /// position of the release, for the P2 exposure certificate.
-  struct Release {
-    graph::Vertex node;
-    std::uint32_t pos;
-  };
-
   struct ShardScratch {
-    std::vector<std::pair<std::uint32_t, AgentId>> pushes;  // P0 chunk
-    std::vector<Release> releases;                          // P1
+    std::vector<graph::Vertex> releases;  // guard counts that reached 0
     std::uint64_t cleans = 0;
     bool exposed = false;
-  };
-
-  /// Near-future ring + stable far-future heap over tick buckets.
-  class Calendar {
-   public:
-    explicit Calendar(std::size_t ring_ticks);
-    /// The ring push is the fused loop's per-event hot path; far sleeps
-    /// take the out-of-line heap push.
-    void push(std::uint32_t time, AgentId agent) {
-      HCS_ASSERT(time > cur_);
-      if (time - cur_ <= mask_) {
-        ring_[time & mask_].push_back(agent);
-        ++ring_pending_;
-      } else {
-        push_far(time, agent);
-      }
-    }
-    /// Advances past cur to the next nonempty tick; fills *bucket in the
-    /// event engine's (time, seq) order. Returns false when drained.
-    bool next(std::uint32_t* time, std::vector<AgentId>* bucket);
-
-   private:
-    struct Far {
-      std::uint32_t time;
-      std::uint64_t seq;
-      AgentId agent;
-    };
-    void push_far(std::uint32_t time, AgentId agent);
-
-    std::vector<std::vector<AgentId>> ring_;
-    std::uint32_t mask_ = 0;
-    std::vector<Far> heap_;
-    std::size_t ring_pending_ = 0;
-    std::uint64_t push_seq_ = 0;
-    std::uint32_t cur_ = 0;
   };
 
   /// Returns true when it ran to completion; false = declined (abort-
@@ -207,18 +164,14 @@ class ShardedMacroEngine {
   ShardPlan plan_;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Fast-path state (valid when fast_completed_). cleaned_tick_,
-  // contam_start_ and clean_stamp_ back the P1/P2 phases only.
+  // Fast-path state (valid when fast_completed_). clean_stamp_ holds
+  // (tick << 32) | source for each node's cleaning move.
   bool fast_completed_ = false;
-  Bitplane guarded_;
   Bitplane contaminated_;
   Bitplane visited_;
-  Bitplane cleaned_tick_;
-  Bitplane contam_start_;
   Bitplane frontier_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint64_t> clean_stamp_;
-  std::vector<Arrival> arrivals_;
   std::vector<ShardScratch> scratch_;
   Metrics fast_metrics_;
 };

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/campaign.hpp"
@@ -220,6 +222,23 @@ TEST(FuzzCampaign, GeneratorDrawsTheEngineAxis) {
     on.engine = sim::EngineKind::kEvent;
     on.shards = 1;  // the shard axis piggybacks on a macro engine draw
     EXPECT_EQ(on.canonical(), off.canonical());
+  }
+}
+
+TEST(FuzzCampaign, LivelockWindowScalesWithTheTeamAboveH9) {
+  // The window keeps the same number of whole-team wake rounds as the
+  // largest team doubles per dimension; up to H_9 it stays at 200,000.
+  Manifest manifest = known_bad_manifest(7);
+  for (const auto& [d, window] :
+       {std::pair<unsigned, std::uint64_t>{9, 200'000}, {11, 800'000}}) {
+    manifest.axes.min_dimension = d;
+    manifest.axes.max_dimension = d;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const CellSpec spec =
+          campaign_cell(manifest.axes, manifest.campaign_seed, i);
+      EXPECT_EQ(spec.dimension, d);
+      EXPECT_EQ(spec.livelock_window, window) << "d=" << d;
+    }
   }
 }
 

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,11 +77,14 @@ CapturedRun run_event_oracle(const sim::MacroProgram& prog,
 
 CapturedRun run_macro(const sim::MacroProgram& prog, const graph::Graph& g,
                       sim::MoveSemantics semantics, bool trace,
-                      double fault_rate, bool* used_fast = nullptr) {
+                      double fault_rate, bool* used_fast = nullptr,
+                      std::uint32_t shards = 1) {
   sim::Network net(g, 0);
   net.set_move_semantics(semantics);
   net.trace().enable(trace);
-  sim::ShardedMacroEngine engine(net, macro_run_options(trace, fault_rate));
+  sim::RunOptions cfg = macro_run_options(trace, fault_rate);
+  cfg.shards = shards;
+  sim::ShardedMacroEngine engine(net, cfg);
   CapturedRun run;
   run.result = engine.run(prog);
   run.metrics = engine.metrics();
@@ -232,20 +237,85 @@ TEST(MacroDifferential, FastPathMatchesEventEngine) {
 }
 
 TEST(MacroEngine, FastPathEngagesForMonotoneSchedules) {
-  // The two singleton-round planners are per-move monotone, so the fast
-  // path must complete without bailing to the event engine (this is the
-  // path the H_16+ throughput numbers rest on).
+  // Every registered program is monotone in any order of a tick's moves,
+  // so the fast path must complete without bailing to the event engine
+  // (this is the path the H_16+ throughput numbers rest on). At d = 10
+  // with 4 shards, CLEAN-WITH-VISIBILITY's widest waves (512 moves against
+  // a phase threshold of 256) take the per-shard phases.
   const auto& registry = core::StrategyRegistry::instance();
-  for (const char* name : {"NAIVE-LEVEL-SWEEP", "TREE-SWEEP", "CLEAN"}) {
+  bool any = false;
+  for (const std::string& name : registry.names()) {
     const core::Strategy& strategy = registry.get(name);
-    const std::optional<sim::MacroProgram> prog = strategy.macro_program(6);
-    ASSERT_TRUE(prog.has_value()) << name;
-    bool used_fast = false;
-    const graph::Graph g = strategy.build_graph(6);
-    run_macro(*prog, g, sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
-              /*fault_rate=*/0.0, &used_fast);
-    EXPECT_TRUE(used_fast) << name;
+    if (!strategy.has_macro_program()) continue;
+    any = true;
+    for (const unsigned d : {6u, 10u}) {
+      const std::optional<sim::MacroProgram> prog = strategy.macro_program(d);
+      ASSERT_TRUE(prog.has_value()) << name;
+      const graph::Graph g = strategy.build_graph(d);
+      for (const std::uint32_t shards : {1u, 4u}) {
+        bool used_fast = false;
+        run_macro(*prog, g, sim::MoveSemantics::kAtomicArrival,
+                  /*trace=*/false, /*fault_rate=*/0.0, &used_fast, shards);
+        EXPECT_TRUE(used_fast) << name << " d=" << d << " shards=" << shards;
+      }
+    }
   }
+  EXPECT_TRUE(any) << "no macro-capable strategies registered";
+}
+
+/// A hand-built program on the 4-ring 0-1-2-3-0, homebase 0: agent i
+/// takes moves[i] as (departure tick, from, to).
+sim::MacroProgram ring_program(
+    const std::vector<std::vector<sim::MacroProgram::Step>>& moves) {
+  sim::MacroProgram prog;
+  for (const auto& agent_moves : moves) {
+    for (const sim::MacroProgram::Step& s : agent_moves) {
+      prog.steps.push_back(s);
+      prog.horizon = std::max(prog.horizon, s.time + 1);
+    }
+    prog.agent_offsets.push_back(
+        static_cast<std::uint32_t>(prog.steps.size()));
+  }
+  return prog;
+}
+
+TEST(MacroEngine, FastPathBailsOnExposure) {
+  // One agent steps 0 -> 1, vacating 0 next to contaminated 3: the fast
+  // path bails and the event engine reports the recontamination.
+  const graph::Graph g = graph::make_ring(4);
+  const sim::MacroProgram prog = ring_program({{{0, 0, 1}}});
+  bool used_fast = true;
+  const CapturedRun macro_run =
+      run_macro(prog, g, sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
+                /*fault_rate=*/0.0, &used_fast);
+  const CapturedRun event_run =
+      run_event_oracle(prog, g, sim::MoveSemantics::kAtomicArrival,
+                       /*trace=*/false, /*fault_rate=*/0.0);
+  EXPECT_FALSE(used_fast);
+  expect_identical(macro_run, event_run, "ring exposure");
+  EXPECT_EQ(event_run.metrics.recontamination_events, 1u);
+}
+
+TEST(MacroEngine, OrderDependentTickRunsOnEventEngine) {
+  // At tick 1 agent 0 moves 3 -> 2 and agent 1 moves 1 -> 0, both landing
+  // at tick 2; agent 2 holds 0. The event engine lands agent 0's move
+  // first, so node 1's release is safe there, but in the other order it
+  // would see 2 still contaminated. A release that is safe only in some
+  // order runs on the event engine.
+  const graph::Graph g = graph::make_ring(4);
+  const sim::MacroProgram prog =
+      ring_program({{{0, 0, 3}, {1, 3, 2}}, {{0, 0, 1}, {1, 1, 0}}, {}});
+  bool used_fast = true;
+  const CapturedRun macro_run =
+      run_macro(prog, g, sim::MoveSemantics::kAtomicArrival, /*trace=*/false,
+                /*fault_rate=*/0.0, &used_fast);
+  const CapturedRun event_run =
+      run_event_oracle(prog, g, sim::MoveSemantics::kAtomicArrival,
+                       /*trace=*/false, /*fault_rate=*/0.0);
+  expect_identical(macro_run, event_run, "ring order");
+  EXPECT_EQ(event_run.metrics.recontamination_events, 0u);
+  EXPECT_TRUE(event_run.all_clean);
+  EXPECT_FALSE(used_fast);
 }
 
 TEST(MacroEngine, HasMacroProgramMatchesMacroProgram) {

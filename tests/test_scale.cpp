@@ -3,8 +3,8 @@
 // The event engine cross-checks the macro executor only where it can
 // still run in a test budget (H_12 and below); above that, the bitplane
 // fast path is the only code producing the answer. These tests pin that
-// answer on H_16 against the closed forms, at one shard (the fused loop)
-// and two (the barrier-phased split):
+// answer on H_16 against the closed forms, at one shard (every tick
+// inline) and two (the barrier-phased split):
 //
 //  * CLEAN: team size (Theorem 2) and agent moves (Theorem 3);
 //  * CLEAN WITH VISIBILITY: team size (Theorem 5), moves (Theorem 8) and

@@ -352,21 +352,26 @@ TEST(Service, RejectsWhenPendingCellsExceedBudget) {
 
 TEST(Service, AdmissionErrorsForInvalidRuns) {
   Service service(ServiceConfig{.threads = 1, .max_dimension = 6});
+  // Every refused line is answered under its own id once the parser has
+  // read a valid one; a line that is not JSON gets id 0.
   const struct {
     const char* line;
     const char* expect;
+    const char* reply_prefix;
   } cases[] = {
       {R"({"id":1,"op":"run","cell":{"strategy":"CLEEN","dimension":4}})",
-       "unknown strategy"},
+       "unknown strategy", R"({"id":1,"ok":false)"},
       {R"({"id":2,"op":"run","cell":{"strategy":"CLEAN","dimension":9}})",
-       "exceeds server limit"},
+       "exceeds server limit", R"({"id":2,"ok":false)"},
       {R"({"id":3,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"engine":"macro","policy":"random"}})",
-       "macro engine requires"},
-      {"{\"id\":4,\"op\":\"run\"}", "missing"},
+       "macro engine requires", R"({"id":3,"ok":false)"},
+      {"{\"id\":4,\"op\":\"run\"}", "missing", R"({"id":4,"ok":false)"},
+      {R"({"id":5,"op":"frobnicate"})", "unknown op", R"({"id":5,"ok":false)"},
+      {"not json at all", "not valid JSON", R"({"id":0,"ok":false)"},
   };
   for (const auto& c : cases) {
     const Service::Reply reply = service.handle(c.line);
-    EXPECT_NE(reply.line.find("\"ok\":false"), std::string::npos) << c.line;
+    EXPECT_EQ(reply.line.rfind(c.reply_prefix, 0), 0u) << reply.line;
     EXPECT_NE(reply.line.find(c.expect), std::string::npos) << reply.line;
     EXPECT_FALSE(reply.shutdown);
   }
@@ -379,7 +384,7 @@ TEST(Service, OutOfRangeFaultSpecGetsAnErrorReplyAndServiceStaysUp) {
   Service service(config);
   const Service::Reply bad = service.handle(
       R"({"id":1,"op":"run","cell":{"strategy":"CLEAN","dimension":4,"faults":{"crash_rate":2.0,"wb_loss_rate":0,"wb_corrupt_rate":0,"wake_drop_rate":0,"link_stall_rate":0,"stall_factor":0.5,"seed":1,"events":[]}}})");
-  EXPECT_NE(bad.line.find("\"ok\":false"), std::string::npos) << bad.line;
+  EXPECT_EQ(bad.line.rfind(R"({"id":1,"ok":false)", 0), 0u) << bad.line;
   EXPECT_NE(bad.line.find("crash_rate"), std::string::npos) << bad.line;
 
   const Service::Reply ping = service.handle(R"({"id":2,"op":"ping"})");
