@@ -31,9 +31,8 @@ CAMPAIGN_TIMEOUT="${CAMPAIGN_TIMEOUT:-1800}"
 RETRY_BACKOFF="${RETRY_BACKOFF:-30}"
 
 start_campaign() {
-  # The sealed snapshot store in ${CORPUS_DIR}/ckpt also marks resumable
-  # state: a crash can leave it behind with a missing or torn
-  # manifest.json, and `hcs_fuzz resume` prefers it anyway.
+  # Either manifest.json or the sealed snapshot store in ${CORPUS_DIR}/ckpt
+  # marks resumable state; `hcs_fuzz resume` prefers the snapshot.
   if [[ -f "${CORPUS_DIR}/manifest.json" || -d "${CORPUS_DIR}/ckpt" ]]; then
     echo "== resuming campaign in ${CORPUS_DIR}"
     timeout -k 30 "${CAMPAIGN_TIMEOUT}" \

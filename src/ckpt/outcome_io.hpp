@@ -1,13 +1,12 @@
-// JSON round-trip for core::SimOutcome -- the unit of durable progress.
+// JSON round-trip for core::SimOutcome.
 //
-// Sweep checkpoints persist one serialized outcome per completed cell, and
-// a resumed sweep must re-emit CSV/JSON byte-identical to an uninterrupted
-// run, so the contract is exact: every field serializes (including the
-// nested DegradationReport and the enum fields as their canonical
-// to_string names), doubles render through util/json's %.17g canonical
-// writer, and outcome == parse(outcome_json(outcome)) for every
-// representable outcome. The enum inverses live here because nothing
-// below this layer ever needed to read "step-cap" back.
+// hcsd replies carry one serialized outcome per run, and a cache hit must
+// replay the cold run's bytes, so the contract is exact: every field
+// serializes (including the nested DegradationReport and the enum fields
+// as their canonical to_string names), doubles render through util/json's
+// %.17g canonical writer, and outcome == parse(outcome_json(outcome)) for
+// every representable outcome. The enum inverses live here because
+// nothing below this layer ever needed to read "step-cap" back.
 
 #pragma once
 

@@ -41,22 +41,21 @@ bool parse_seq(const std::string& name, std::uint64_t* seq) {
 
 }  // namespace
 
-Store::Store(StoreOptions options) : options_(std::move(options)) {
-  HCS_EXPECTS(!options_.dir.empty());
-  if (options_.keep < 2) options_.keep = 2;
+Store::Store(std::string dir) : dir_(std::move(dir)) {
+  HCS_EXPECTS(!dir_.empty());
 }
 
 std::string Store::path_for(std::uint64_t seq) const {
   char name[64];
   std::snprintf(name, sizeof name, "snap-%016llx.ckpt",
                 static_cast<unsigned long long>(seq));
-  return options_.dir + "/" + name;
+  return dir_ + "/" + name;
 }
 
 std::vector<std::uint64_t> Store::list() const {
   std::vector<std::uint64_t> seqs;
   std::error_code ec;
-  std::filesystem::directory_iterator it(options_.dir, ec);
+  std::filesystem::directory_iterator it(dir_, ec);
   if (ec) return seqs;
   for (const auto& entry : it) {
     std::uint64_t seq = 0;
@@ -70,20 +69,20 @@ std::vector<std::uint64_t> Store::list() const {
 
 std::uint64_t Store::commit(const Json& doc, std::string* error) {
   std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
+  std::filesystem::create_directories(dir_, ec);
   std::vector<std::uint64_t> seqs = list();
   const std::uint64_t seq = seqs.empty() ? 1 : seqs.back() + 1;
   if (!write_sealed_atomic(path_for(seq), doc.dump(), error)) return 0;
   seqs.push_back(seq);
   // Retention counts *good* snapshots only: a torn/corrupt file must not
   // displace a restorable one (a run that tears N snapshots still keeps N
-  // good ones). Walk newest-to-oldest, keep the newest `keep` files that
-  // pass the seal check, and delete everything older than the last of
-  // those -- so corrupt files newer than the keep-th good snapshot age out
-  // naturally without costing retention.
+  // good ones). Walk newest-to-oldest, keep the newest kSnapshotsKept
+  // files that pass the seal check, and delete everything older than the
+  // last of those -- so corrupt files newer than the oldest good snapshot
+  // kept age out naturally without costing retention.
   std::uint32_t good = 0;
-  std::size_t cut = seqs.size();  // index of the keep-th-newest good file
-  for (std::size_t i = seqs.size(); i-- > 0 && good < options_.keep;) {
+  std::size_t cut = seqs.size();  // index of the oldest good file kept
+  for (std::size_t i = seqs.size(); i-- > 0 && good < kSnapshotsKept;) {
     std::string payload;
     if (read_sealed(path_for(seqs[i]), &payload, nullptr)) {
       ++good;
@@ -93,14 +92,13 @@ std::uint64_t Store::commit(const Json& doc, std::string* error) {
   for (std::size_t i = 0; i < cut; ++i) {
     std::filesystem::remove(path_for(seqs[i]), ec);
   }
-  if (hook_) hook_(seq);
   return seq;
 }
 
 std::optional<LoadedSnapshot> Store::load_latest(std::string* error) const {
   const std::vector<std::uint64_t> seqs = list();
   std::uint64_t skipped = 0;
-  std::string last_reason = "no snapshots in " + options_.dir;
+  std::string last_reason = "no snapshots in " + dir_;
   for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
     LoadedSnapshot snap;
     snap.seq = *it;

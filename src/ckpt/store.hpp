@@ -3,11 +3,11 @@
 // One directory holds a monotone sequence of sealed snapshots,
 // snap-<16 hex seq>.ckpt, each a canonical hcs::Json document wrapped in
 // the blob.hpp checksum footer. commit() assigns the next sequence number,
-// writes crash-consistently (temp + fsync + atomic rename), prunes down to
-// the `keep` newest files, and then fires the commit hook -- the hook is
-// the chaos harness's deterministic kill point: a worker that SIGKILLs
-// itself inside the k-th hook dies at a logical-counter-keyed instant, not
-// a wall-clock one.
+// writes crash-consistently (temp + fsync + atomic rename), and prunes
+// down to the kSnapshotsKept newest good files. Its one caller is the
+// fuzz campaign (fuzz/campaign.hpp), which commits its manifest after
+// every batch; sweeps and single runs are not checkpointed, because
+// running them again reproduces them byte for byte.
 //
 // load_latest() scans newest to oldest and returns the first snapshot that
 // unseals and parses, counting how many corrupt/torn files it skipped on
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,12 +26,10 @@
 
 namespace hcs::ckpt {
 
-struct StoreOptions {
-  std::string dir;
-  /// Snapshots retained after every commit; older ones are pruned. At
-  /// least 2 so one torn newest file always leaves a good predecessor.
-  std::uint32_t keep = 3;
-};
+/// Good snapshots retained after every commit; older ones are pruned. At
+/// least 2, so one torn newest file always leaves a good predecessor.
+inline constexpr std::uint32_t kSnapshotsKept = 3;
+static_assert(kSnapshotsKept >= 2);
 
 struct LoadedSnapshot {
   std::uint64_t seq = 0;
@@ -45,10 +42,10 @@ struct LoadedSnapshot {
 
 class Store {
  public:
-  explicit Store(StoreOptions options);
+  explicit Store(std::string dir);
 
-  /// Seals and writes `doc` as the next snapshot, prunes old ones, fires
-  /// the commit hook. Returns the assigned sequence number, 0 on failure.
+  /// Seals and writes `doc` as the next snapshot and prunes old ones.
+  /// Returns the assigned sequence number, 0 on failure.
   std::uint64_t commit(const Json& doc, std::string* error = nullptr);
 
   /// Newest snapshot that unseals and parses; nullopt when none does (or
@@ -61,17 +58,9 @@ class Store {
   [[nodiscard]] std::vector<std::uint64_t> list() const;
 
   [[nodiscard]] std::string path_for(std::uint64_t seq) const;
-  [[nodiscard]] const StoreOptions& options() const { return options_; }
-
-  /// Fires after every successful commit (post-prune) with the new
-  /// sequence number.
-  void set_commit_hook(std::function<void(std::uint64_t)> hook) {
-    hook_ = std::move(hook);
-  }
 
  private:
-  StoreOptions options_;
-  std::function<void(std::uint64_t)> hook_;
+  std::string dir_;
 };
 
 }  // namespace hcs::ckpt

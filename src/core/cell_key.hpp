@@ -8,17 +8,14 @@
 // byte-stable JSON encoding (hcs::Json's writer) and an FNV-1a content
 // hash over it.
 //
-// Three subsystems route their identity through this one type:
-//   * run/sweep  -- sweep resume fingerprints (run/sweep_ckpt.cpp), built
-//                   from run::sweep_cell_key per grid point
+// Two subsystems route their identity through this one type:
 //   * fuzz       -- artifact content hashes (fuzz/cell.cpp CellSpec::key)
 //   * serve      -- hcsd's content-addressed result cache (src/serve)
 //
 // The encoding is append-only and versioned by construction: every field
 // serializes, in fixed declaration order, so equal keys render byte-equal
 // and hash() is stable across processes and platforms. Pre-CellKey
-// fingerprints differ byte-wise and are no longer read: a pre-CellKey
-// sweep snapshot is refused as a fingerprint mismatch (DESIGN.md's
+// identities differ byte-wise and are no longer read (DESIGN.md's
 // deprecation policy).
 //
 // The delay axis is a *label*, not a sampler: DelayModel is opaque, so the
@@ -70,8 +67,8 @@ struct CellKey {
   [[nodiscard]] Json to_json() const;
   /// to_json().dump() -- the canonical byte encoding.
   [[nodiscard]] std::string canonical() const;
-  /// fnv1a64_hex(canonical()): the 16-hex-digit content hash that sweep
-  /// fingerprints, fuzz artifact names and the serve cache key all use.
+  /// fnv1a64_hex(canonical()): the 16-hex-digit content hash that fuzz
+  /// artifact names and the serve cache key both use.
   [[nodiscard]] std::string hash() const;
 
   friend bool operator==(const CellKey&, const CellKey&) = default;

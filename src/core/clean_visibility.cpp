@@ -20,23 +20,23 @@ const sim::WbKey kReleased = sim::wb_key("released");
 const sim::WbKey kClaimed = sim::wb_key("claimed");
 
 /// One atomic evaluation of the Section 4.2 rule for an agent at node x.
-sim::LocalDecision visibility_decide(unsigned d, sim::AgentContext& ctx) {
+sim::Action visibility_decide(unsigned d, sim::AgentContext& ctx) {
   const auto x = static_cast<NodeId>(ctx.here());
   const BitPos m = msb_position(x);
   const unsigned k = d - m;  // x is of type T(k)
-  if (k == 0) return sim::LocalDecision::terminate();
+  if (k == 0) return sim::Action::finished();
 
   if (ctx.wb_get(kReleased) == 0) {
     const auto need =
         static_cast<std::int64_t>(visibility_required_agents(d, x));
     if (static_cast<std::int64_t>(ctx.agents_here()) < need) {
-      return sim::LocalDecision::wait();
+      return sim::Action::wait();
     }
     // Visibility: every smaller neighbour must be clean or guarded.
     for (BitPos j = 1; j <= m; ++j) {
       const auto y = static_cast<graph::Vertex>(flip_bit(x, j));
       if (ctx.status(y) == sim::NodeStatus::kContaminated) {
-        return sim::LocalDecision::wait();
+        return sim::Action::wait();
       }
     }
     // Latch the decision: once the condition has been observed, agents may
@@ -53,10 +53,10 @@ sim::LocalDecision visibility_decide(unsigned d, sim::AgentContext& ctx) {
       static_cast<std::uint64_t>(raw_claim) >=
           visibility_required_agents(d, x)) {
     ctx.wb_set(kClaimed, 0);
-    return sim::LocalDecision::wait();
+    return sim::Action::wait();
   }
   const auto claim = static_cast<std::uint64_t>(raw_claim);
-  return sim::LocalDecision::move(
+  return sim::Action::move_to(
       static_cast<graph::Vertex>(visibility_claim_destination(d, x, claim)));
 }
 
@@ -72,22 +72,14 @@ class VisibilityAgent final : public sim::Agent {
     // when its wave condition (full complement + clean smaller neighbours)
     // was first observed. Count it and mark the level's phase.
     const bool watch_release = ctx.obs_enabled() && ctx.wb_get(kReleased) == 0;
-    const sim::LocalDecision decision = visibility_decide(d_, ctx);
+    const sim::Action action = visibility_decide(d_, ctx);
     if (watch_release && ctx.wb_get(kReleased) != 0) {
       const auto level =
           std::popcount(static_cast<std::uint64_t>(ctx.here()));
       ctx.obs_count("visibility.releases");
       ctx.obs_phase("clean_visibility", "level " + std::to_string(level));
     }
-    switch (decision.kind) {
-      case sim::LocalDecision::Kind::kWait:
-        return sim::Action::wait();
-      case sim::LocalDecision::Kind::kMove:
-        return sim::Action::move_to(decision.dest);
-      case sim::LocalDecision::Kind::kTerminate:
-        return sim::Action::finished();
-    }
-    return sim::Action::finished();
+    return action;
   }
 
  private:

@@ -25,8 +25,9 @@
 //    levels even for strategies with no hand-placed phase marks.
 //
 // A single run is not checkpointed. It is a pure function of its
-// hcs::CellKey, so the way to resume one is to run it again; sweeps and
-// fuzz campaigns checkpoint whole cells (docs/CHECKPOINT.md).
+// hcs::CellKey, so the way to resume one (or a sweep of them) is to run
+// it again; only fuzz campaigns checkpoint, per batch of cells
+// (docs/CHECKPOINT.md).
 
 #pragma once
 

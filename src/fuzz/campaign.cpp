@@ -72,11 +72,12 @@ bool parse_campaign_axes(const Json& json, CampaignAxes* out,
   if (min_dim == nullptr || max_dim == nullptr) {
     return fail(error, "axes missing dimension bounds");
   }
+  if (!check_dimension_bounds(min_dim->as_uint(), max_dim->as_uint(),
+                              error)) {
+    return false;
+  }
   axes.min_dimension = static_cast<unsigned>(min_dim->as_uint());
   axes.max_dimension = static_cast<unsigned>(max_dim->as_uint());
-  if (axes.min_dimension < 1 || axes.max_dimension < axes.min_dimension) {
-    return fail(error, "axes dimension bounds out of order");
-  }
   const Json* differential = json.get("differential");
   if (differential == nullptr || differential->type() != Json::Type::kBool) {
     return fail(error, "axes missing \"differential\"");
@@ -111,6 +112,18 @@ bool parse_campaign_axes(const Json& json, CampaignAxes* out,
   }
   *out = std::move(axes);
   return true;
+}
+
+bool check_dimension_bounds(std::uint64_t min_dimension,
+                            std::uint64_t max_dimension, std::string* error) {
+  if (min_dimension >= 1 && min_dimension <= max_dimension &&
+      max_dimension <= kMaxCellDimension) {
+    return true;
+  }
+  return fail(error, "dimension bounds must satisfy 1 <= min <= max <= " +
+                         std::to_string(kMaxCellDimension) + " (got min " +
+                         std::to_string(min_dimension) + ", max " +
+                         std::to_string(max_dimension) + ")");
 }
 
 CellSpec campaign_cell(const CampaignAxes& axes, std::uint64_t campaign_seed,
@@ -399,24 +412,23 @@ bool save_manifest(const Manifest& manifest, const std::string& corpus_dir) {
 
 bool save_campaign_state(const Manifest& manifest,
                          const std::string& corpus_dir, std::string* error) {
-  // Snapshot first, mirror second: a kill between the two leaves the
-  // mirror one batch behind the snapshot, and load_campaign_state prefers
-  // the snapshot.
-  ckpt::Store store({corpus_dir + "/ckpt"});
+  // Mirror first, snapshot second: a kill between the two leaves the
+  // mirror one batch ahead of the snapshot, never behind it. Resume reads
+  // the snapshot and re-runs that batch, rewriting the same bytes; and a
+  // campaign whose last batch reached the snapshot has its mirror too.
+  if (!save_manifest(manifest, corpus_dir)) {
+    return fail(error, "failed to write " + corpus_dir + "/manifest.json");
+  }
   Json doc = Json::object();
   doc.set("kind", "fuzz-campaign");
   doc.set("version", std::uint64_t{1});
   doc.set("manifest", manifest.to_json());
-  if (store.commit(doc, error) == 0) return false;
-  if (!save_manifest(manifest, corpus_dir)) {
-    return fail(error, "failed to write " + corpus_dir + "/manifest.json");
-  }
-  return true;
+  return ckpt::Store(corpus_dir + "/ckpt").commit(doc, error) != 0;
 }
 
 bool load_campaign_state(const std::string& corpus_dir, Manifest* out,
                          std::string* error) {
-  ckpt::Store store({corpus_dir + "/ckpt"});
+  ckpt::Store store(corpus_dir + "/ckpt");
   std::string store_error;
   if (std::optional<ckpt::LoadedSnapshot> snap =
           store.load_latest(&store_error)) {
@@ -436,11 +448,31 @@ bool load_campaign_state(const std::string& corpus_dir, Manifest* out,
   return load_manifest(corpus_dir + "/manifest.json", out, error);
 }
 
-CampaignOutcome CampaignRunner::run(Manifest manifest,
+CampaignOutcome CampaignRunner::run(Manifest start,
                                     std::uint64_t iterations) const {
-  std::filesystem::create_directories(config_.corpus_dir);
-
   CampaignOutcome out;
+  out.manifest = std::move(start);
+  Manifest& manifest = out.manifest;
+  std::error_code ec;
+  std::filesystem::create_directories(config_.corpus_dir, ec);
+  if (ec) {
+    out.error = "cannot create " + config_.corpus_dir + ": " + ec.message();
+    return out;
+  }
+  // Adds an artifact to the corpus unless it is already there; false (and
+  // out.error) when the file cannot be written.
+  const auto persist = [&](const Artifact& artifact, const std::string& hash) {
+    if (manifest.has_corpus_hash(hash)) return true;
+    const std::string path = config_.corpus_dir + "/" + artifact.file_name();
+    if (!write_json_file(artifact.to_json(), path)) {
+      out.error = "cannot write " + path;
+      return false;
+    }
+    manifest.corpus.push_back(hash);
+    ++out.artifacts_written;
+    return true;
+  };
+
   std::uint64_t remaining = iterations;
   while (remaining > 0) {
     const std::uint64_t batch =
@@ -471,12 +503,7 @@ CampaignOutcome CampaignRunner::run(Manifest manifest,
       record.iteration = base + i;
       record.signature = original.signature;
       record.hash = specs[i].content_hash();
-      if (!manifest.has_corpus_hash(record.hash)) {
-        write_json_file(original.to_json(),
-                        config_.corpus_dir + "/" + original.file_name());
-        manifest.corpus.push_back(record.hash);
-        ++out.artifacts_written;
-      }
+      if (!persist(original, record.hash)) return out;
 
       if (config_.minimize_failures) {
         const MinimizeResult min =
@@ -488,12 +515,7 @@ CampaignOutcome CampaignRunner::run(Manifest manifest,
           minimal.failures = min.failures;
           minimal.minimized = true;
           record.minimized_hash = min.minimized.content_hash();
-          if (!manifest.has_corpus_hash(record.minimized_hash)) {
-            write_json_file(minimal.to_json(),
-                            config_.corpus_dir + "/" + minimal.file_name());
-            manifest.corpus.push_back(record.minimized_hash);
-            ++out.artifacts_written;
-          }
+          if (!persist(minimal, record.minimized_hash)) return out;
         }
       }
       manifest.failures.push_back(std::move(record));
@@ -502,9 +524,10 @@ CampaignOutcome CampaignRunner::run(Manifest manifest,
     manifest.iterations_done += batch;
     out.cells_run += batch;
     remaining -= batch;
-    save_campaign_state(manifest, config_.corpus_dir);
+    if (!save_campaign_state(manifest, config_.corpus_dir, &out.error)) {
+      return out;
+    }
   }
-  out.manifest = std::move(manifest);
   return out;
 }
 

@@ -61,6 +61,14 @@ struct CampaignAxes {
 [[nodiscard]] bool parse_campaign_axes(const Json& json, CampaignAxes* out,
                                        std::string* error = nullptr);
 
+/// True when 1 <= min_dimension <= max_dimension <= kMaxCellDimension.
+/// Takes the bounds before they are narrowed to `unsigned`, so 2^32 + 4
+/// is refused rather than read as 4. False with a one-line diagnostic
+/// otherwise.
+[[nodiscard]] bool check_dimension_bounds(std::uint64_t min_dimension,
+                                          std::uint64_t max_dimension,
+                                          std::string* error = nullptr);
+
 /// The deterministic cell at `iteration` of a campaign: strategy,
 /// dimension, engine seed, delay model, wake policy, move semantics, and
 /// fault workload are all drawn from a SplitMix64 stream keyed on
@@ -125,10 +133,12 @@ struct Manifest {
 bool save_manifest(const Manifest& manifest, const std::string& corpus_dir);
 
 /// Persists the campaign state crash-consistently: the manifest is first
-/// committed as a sealed, checksummed snapshot into <corpus_dir>/ckpt
-/// (the hcs::ckpt store -- torn writes are detected and older snapshots
-/// survive), then mirrored to plain manifest.json for external readers
-/// (scripts/fuzz_nightly.sh's python probe). False on I/O failure.
+/// mirrored to plain manifest.json for external readers
+/// (scripts/fuzz_nightly.sh's python probe), then committed as a sealed,
+/// checksummed snapshot into <corpus_dir>/ckpt (the hcs::ckpt store --
+/// torn writes are detected and older snapshots survive). A kill between
+/// the two leaves the mirror one batch ahead; resume re-runs that batch.
+/// False on I/O failure.
 bool save_campaign_state(const Manifest& manifest,
                          const std::string& corpus_dir,
                          std::string* error = nullptr);
@@ -159,11 +169,16 @@ struct CampaignOutcome {
   std::uint64_t cells_run = 0;
   std::uint64_t failures_found = 0;
   std::uint64_t artifacts_written = 0;
+  /// Empty on success; otherwise the first write that failed. The run
+  /// stops there, before a manifest can name an artifact that is not on
+  /// disk; resume continues from the last batch committed.
+  std::string error;
 };
 
 /// Executes `iterations` further cells of the campaign described by
 /// `manifest` (fresh or loaded), persisting artifacts and checkpointing
-/// the manifest after every batch.
+/// the manifest after every batch. Stops at the first write that fails
+/// (CampaignOutcome::error) instead of aborting.
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignConfig config)

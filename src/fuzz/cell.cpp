@@ -488,10 +488,11 @@ bool parse_cell_spec(const Json& json, CellSpec* out, std::string* error) {
   if (dimension == nullptr || dimension->type() != Json::Type::kUint) {
     return fail(error, "cell missing \"dimension\"");
   }
-  spec.dimension = static_cast<unsigned>(dimension->as_uint());
-  if (spec.dimension < 1 || spec.dimension > 24) {
+  // Range-check the 64-bit value: narrowing first would read 2^32 + 4 as 4.
+  if (dimension->as_uint() < 1 || dimension->as_uint() > kMaxCellDimension) {
     return fail(error, "cell dimension out of range");
   }
+  spec.dimension = static_cast<unsigned>(dimension->as_uint());
 
   const Json* seed = json.get("seed");
   if (seed == nullptr || seed->type() != Json::Type::kUint) {

@@ -76,6 +76,11 @@ struct Failure {
   std::string detail;
 };
 
+/// Largest hypercube dimension a cell may name. parse_cell_spec refuses a
+/// dimension outside [1, kMaxCellDimension], and campaign axes are held to
+/// the same bound, so every campaign cell replays from its artifact.
+inline constexpr unsigned kMaxCellDimension = 24;
+
 struct CellSpec {
   std::string strategy = "CLEAN";
   unsigned dimension = 4;
@@ -108,10 +113,9 @@ struct CellSpec {
   [[nodiscard]] Expect resolved_expect() const;
 
   /// The run identity of this cell as an hcs::CellKey -- the same type
-  /// ckpt fingerprints, sweep cells and the hcsd cache key use. The
-  /// oracle axes (expect, differential) are judgement configuration, not
-  /// run identity, so they live beside the key in content_hash(), not in
-  /// it.
+  /// the hcsd cache key uses. The oracle axes (expect, differential) are
+  /// judgement configuration, not run identity, so they live beside the
+  /// key in content_hash(), not in it.
   [[nodiscard]] CellKey key() const;
 
   [[nodiscard]] Json to_json() const;

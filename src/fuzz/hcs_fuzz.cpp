@@ -69,6 +69,21 @@ CampaignConfig campaign_config(const hcs::CliParser& cli) {
   return config;
 }
 
+/// Runs --iterations further cells; a write the campaign could not make
+/// ends the verb with its diagnostic and exit code 1.
+int run_campaign(const char* verb, const hcs::CliParser& cli,
+                 Manifest manifest) {
+  const CampaignOutcome outcome =
+      CampaignRunner(campaign_config(cli))
+          .run(std::move(manifest), cli.get_uint("iterations"));
+  if (!outcome.error.empty()) {
+    std::fprintf(stderr, "hcs_fuzz %s: %s\n", verb, outcome.error.c_str());
+    return 1;
+  }
+  print_outcome(outcome);
+  return 0;
+}
+
 int cmd_run(const hcs::CliParser& cli) {
   const std::string manifest_path = cli.get("corpus") + "/manifest.json";
   if (std::filesystem::exists(manifest_path)) {
@@ -84,10 +99,15 @@ int cmd_run(const hcs::CliParser& cli) {
   if (!strategies.empty()) {
     manifest.axes.strategies = split_list(strategies);
   }
-  manifest.axes.min_dimension =
-      static_cast<unsigned>(cli.get_uint("min-dim"));
-  manifest.axes.max_dimension =
-      static_cast<unsigned>(cli.get_uint("max-dim"));
+  const std::uint64_t min_dim = cli.get_uint("min-dim");
+  const std::uint64_t max_dim = cli.get_uint("max-dim");
+  std::string error;
+  if (!hcs::fuzz::check_dimension_bounds(min_dim, max_dim, &error)) {
+    std::fprintf(stderr, "hcs_fuzz run: %s\n", error.c_str());
+    return 2;
+  }
+  manifest.axes.min_dimension = static_cast<unsigned>(min_dim);
+  manifest.axes.max_dimension = static_cast<unsigned>(max_dim);
   manifest.axes.differential = !cli.get_bool("no-differential");
   manifest.axes.engine_oracle = !cli.get_bool("no-engine-oracle");
   manifest.axes.shard_oracle = !cli.get_bool("no-shard-oracle");
@@ -99,30 +119,22 @@ int cmd_run(const hcs::CliParser& cli) {
     return 2;
   }
 
-  const CampaignOutcome outcome =
-      CampaignRunner(campaign_config(cli))
-          .run(std::move(manifest), cli.get_uint("iterations"));
-  print_outcome(outcome);
-  return 0;
+  return run_campaign("run", cli, std::move(manifest));
 }
 
 int cmd_resume(const hcs::CliParser& cli) {
   Manifest manifest;
   std::string error;
-  // Prefers the sealed snapshot store under <corpus>/ckpt (survives a
-  // kill mid-write of manifest.json), falling back to the plain manifest
-  // for pre-snapshot corpora.
+  // Prefers the sealed snapshot store under <corpus>/ckpt (after a kill,
+  // manifest.json can be one batch ahead of it), falling back to the
+  // plain manifest for pre-snapshot corpora.
   if (!hcs::fuzz::load_campaign_state(cli.get("corpus"), &manifest, &error)) {
     std::fprintf(stderr, "hcs_fuzz resume: %s\n", error.c_str());
     return 1;
   }
   std::printf("resuming at iteration %llu\n",
               static_cast<unsigned long long>(manifest.iterations_done));
-  const CampaignOutcome outcome =
-      CampaignRunner(campaign_config(cli))
-          .run(std::move(manifest), cli.get_uint("iterations"));
-  print_outcome(outcome);
-  return 0;
+  return run_campaign("resume", cli, std::move(manifest));
 }
 
 int cmd_minimize(const hcs::CliParser& cli) {

@@ -16,9 +16,9 @@
 //   hcs::core       -- the four paper strategies + baselines, the strategy
 //                      registry, closed-form cost formulas, Session
 //   hcs::run        -- parameter sweeps across a worker pool + CSV/JSON IO
-//   hcs::ckpt       -- crash-consistent sweep and fuzz-campaign
-//                      checkpoints (sealed blobs, the snapshot store,
-//                      outcome serialization); single runs are not
+//   hcs::ckpt       -- sealed blobs and the snapshot store behind
+//                      resumable fuzz campaigns, plus outcome
+//                      serialization; runs and sweeps are not
 //                      checkpointed -- rerunning one reproduces it
 //   hcs::fault      -- fault injection specs and recovery policies
 //   hcs::intruder   -- adversarial intruder models for capture checks
@@ -28,8 +28,7 @@
 //
 // Entry points, preferred first:
 //   hcs::Session               one configured run, any registered strategy
-//   hcs::run::SweepRunner      a grid of runs across worker threads,
-//                              resumable with a checkpoint_dir
+//   hcs::run::SweepRunner      a grid of runs across worker threads
 //   hcs::core::run_strategy_sim  historical one-call harness (forwards to
 //                                Session; string-keyed only)
 
@@ -62,7 +61,6 @@
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
 #include "run/sweep.hpp"
-#include "run/sweep_ckpt.hpp"
 #include "run/sweep_io.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"

@@ -1,15 +1,10 @@
 #include "run/sweep.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <optional>
 #include <utility>
 
-#include "ckpt/store.hpp"
 #include "core/strategy_registry.hpp"
-#include "run/sweep_ckpt.hpp"
 #include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -178,57 +173,10 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
   result.cells.resize(spec.num_cells());
 
   obs::Span sweep_span(config_.obs, "sweep.run");
-  if (config_.checkpoint_dir.empty()) {
-    ThreadPool(config_.threads)
-        .parallel_for(result.cells.size(), [&](std::size_t i) {
-          result.cells[i] = run_sweep_cell(spec, i, config_.obs);
-        });
-    return result;
-  }
-
-  // Checkpointed path: restore completed cells from the newest valid
-  // snapshot of this grid, then run only the missing indices -- in chunks,
-  // committing a snapshot after each so a crash loses at most one chunk.
-  const std::string fingerprint = sweep_spec_fingerprint(spec);
-  ckpt::Store store({config_.checkpoint_dir, config_.checkpoint_keep});
-  std::map<std::size_t, core::SimOutcome> done;
-  std::string error;
-  if (std::optional<ckpt::LoadedSnapshot> snap = store.load_latest(&error)) {
-    // A snapshot of a *different* sweep (or a parse failure) starts the
-    // grid afresh rather than poisoning it.
-    if (!parse_sweep_snapshot(snap->doc, fingerprint, result.cells.size(),
-                              &done, &error)) {
-      done.clear();
-    }
-  }
-  for (const auto& [index, outcome] : done) {
-    result.cells[index] = sweep_cell_at(spec, index);
-    result.cells[index].outcome = outcome;
-  }
-  result.resumed_cells = done.size();
-
-  std::vector<std::size_t> pending;
-  pending.reserve(result.cells.size() - done.size());
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    if (done.find(i) == done.end()) pending.push_back(i);
-  }
-
-  const std::size_t chunk_cells =
-      config_.checkpoint_every_cells == 0 ? 1 : config_.checkpoint_every_cells;
-  for (std::size_t start = 0; start < pending.size(); start += chunk_cells) {
-    const std::size_t end = std::min(start + chunk_cells, pending.size());
-    ThreadPool(config_.threads).parallel_for(end - start, [&](std::size_t k) {
-      const std::size_t i = pending[start + k];
-      result.cells[i] = run_sweep_cell(spec, i, config_.obs);
-    });
-    for (std::size_t k = start; k < end; ++k) {
-      done[pending[k]] = result.cells[pending[k]].outcome;
-    }
-    const std::uint64_t seq =
-        store.commit(sweep_snapshot_json(spec, fingerprint, done), &error);
-    HCS_ENSURES(seq != 0 && "sweep checkpoint commit failed");
-    if (config_.on_checkpoint) config_.on_checkpoint(seq, done.size());
-  }
+  ThreadPool(config_.threads)
+      .parallel_for(result.cells.size(), [&](std::size_t i) {
+        result.cells[i] = run_sweep_cell(spec, i, config_.obs);
+      });
   return result;
 }
 

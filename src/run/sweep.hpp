@@ -13,12 +13,13 @@
 // every cell simulation builds its own Graph/Network/Engine (no shared
 // mutable state). A sweep therefore produces bit-identical results at any
 // thread count, and each cell equals a direct run_strategy_sim call with
-// the same configuration; tests/test_sweep.cpp asserts both.
+// the same configuration; tests/test_sweep.cpp asserts both. The same
+// property is why sweeps are not checkpointed: a killed sweep resumes by
+// running it again, which reproduces it byte for byte.
 
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -131,9 +132,6 @@ struct SweepResult {
   SweepSpec spec;
   /// One entry per grid point, in SweepSpec enumeration order.
   std::vector<SweepCell> cells;
-  /// Cells whose outcomes came from a checkpoint snapshot rather than
-  /// being executed by this run (0 for non-checkpointed sweeps).
-  std::uint64_t resumed_cells = 0;
 
   /// First cell matching (strategy, dimension), nullptr when absent.
   /// Strategy matching is exact on the registry name.
@@ -159,21 +157,6 @@ class SweepRunner {
     /// histogram totals are identical at any thread count (only span
     /// interleaving varies).
     obs::Registry* obs = nullptr;
-    /// Snapshot directory for resumable sweeps (src/ckpt,
-    /// docs/CHECKPOINT.md). Empty disables checkpointing. When set, run()
-    /// first restores every completed cell from the newest valid snapshot
-    /// of the same grid, then executes only the missing cells -- in
-    /// chunks, committing a crash-consistent snapshot after each -- so a
-    /// killed-and-resumed sweep reports results byte-identical to an
-    /// uninterrupted one.
-    std::string checkpoint_dir;
-    /// Completed cells per snapshot commit (clamped to >= 1).
-    std::size_t checkpoint_every_cells = 16;
-    /// Snapshots retained in the store directory (minimum 2).
-    std::uint32_t checkpoint_keep = 3;
-    /// Fires after each snapshot commit with (sequence, cells done so
-    /// far). The chaos harness's deterministic kill point.
-    std::function<void(std::uint64_t, std::size_t)> on_checkpoint;
   };
 
   SweepRunner() = default;

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "core/cell_key.hpp"
+#include "obs/export.hpp"
 #include "util/csv.hpp"
 #include "util/strfmt.hpp"
 
@@ -75,20 +76,6 @@ std::vector<std::string> cell_values(const SweepCell& cell,
           std::to_string(shards)};
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
 bool write_string(const std::string& content, const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
@@ -111,7 +98,7 @@ std::string sweep_json(const SweepResult& result) {
   out += "\"strategies\": [";
   for (std::size_t i = 0; i < result.spec.strategies.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + json_escape(result.spec.strategies[i]) + "\"";
+    out += "\"" + obs::json_escape(result.spec.strategies[i]) + "\"";
   }
   out += "], \"dimensions\": [";
   for (std::size_t i = 0; i < result.spec.dimensions.size(); ++i) {
@@ -133,7 +120,7 @@ std::string sweep_json(const SweepResult& result) {
       // Quote the label-like columns (through "abort_reason"); everything
       // else is numeric (booleans serialized as 0/1).
       const bool quoted = f <= 9;
-      out += quoted ? "\"" + json_escape(values[f]) + "\"" : values[f];
+      out += quoted ? "\"" + obs::json_escape(values[f]) + "\"" : values[f];
     }
     out += c + 1 < result.cells.size() ? "},\n" : "}\n";
   }

@@ -78,9 +78,8 @@ struct RunOptions {
   /// 1 = one shard, every tick run inline (the default), 0 = auto
   /// (min(hardware threads, 2^(d-10))), N = round down to a power of two.
   /// Purely an execution detail -- results are byte-identical at any value
-  /// and it never enters hcs::CellKey (so neither sweep-snapshot
-  /// fingerprints nor the hcsd cache key see it). The event engine
-  /// ignores it.
+  /// and it never enters hcs::CellKey (so the hcsd cache key does not see
+  /// it). The event engine ignores it.
   std::uint32_t shards = 1;
 };
 

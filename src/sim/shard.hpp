@@ -71,7 +71,7 @@
 // node, which handles any topology: hypercubes probe the d XOR
 // neighbours, other graphs (TREE-SWEEP's broadcast tree) walk their
 // adjacency. Shard count is an execution detail and never enters
-// hcs::CellKey (run identity), checkpoint fingerprints or cache keys.
+// hcs::CellKey (run identity) or cache keys.
 
 #pragma once
 

@@ -57,18 +57,4 @@ enum class AbortReason : std::uint8_t {
   return "?";
 }
 
-/// A protocol's atomic decision for one agent at its node: keep waiting,
-/// move to `dest`, or terminate. The vocabulary of the local decision
-/// functions (e.g. the Section 4.2 visibility rule); the agent wrapping
-/// one turns it into an engine Action.
-struct LocalDecision {
-  enum class Kind : std::uint8_t { kWait, kMove, kTerminate };
-  Kind kind = Kind::kWait;
-  graph::Vertex dest = 0;
-
-  static LocalDecision wait() { return {}; }
-  static LocalDecision move(graph::Vertex v) { return {Kind::kMove, v}; }
-  static LocalDecision terminate() { return {Kind::kTerminate, 0}; }
-};
-
 }  // namespace hcs::sim

@@ -1,14 +1,14 @@
 // hcs::ckpt unit suite: sealed-blob integrity, store retention and
-// torn-write fallback, SimOutcome round-tripping, sweep resume and fuzz
-// campaign state (single runs are not checkpointed). The cross-process
-// kill-and-resume scenarios live in test_ckpt_chaos.cpp; this file proves
-// the layers underneath in-process.
+// torn-write fallback, SimOutcome round-tripping, sweep CSV/JSON
+// renderings of degraded outcomes, and fuzz campaign state -- the one
+// user of the snapshot store (runs and sweeps are not checkpointed). The
+// cross-process kill-and-resume scenarios live in test_ckpt_chaos.cpp;
+// this file proves the layers underneath in-process.
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,7 +19,6 @@
 #include "fuzz/campaign.hpp"
 #include "gtest/gtest.h"
 #include "run/sweep.hpp"
-#include "run/sweep_ckpt.hpp"
 #include "run/sweep_io.hpp"
 #include "util/json.hpp"
 
@@ -88,7 +87,7 @@ TEST(CkptBlob, AtomicWriteReadRoundTrip) {
 
 TEST(CkptStore, CommitAssignsMonotoneSequencesAndPrunes) {
   const std::string dir = fresh_dir("store");
-  hcs::ckpt::Store store({dir, /*keep=*/3});
+  hcs::ckpt::Store store(dir);
   for (std::uint64_t i = 1; i <= 5; ++i) {
     Json doc = Json::object();
     doc.set("i", i);
@@ -103,13 +102,13 @@ TEST(CkptStore, CommitAssignsMonotoneSequencesAndPrunes) {
 }
 
 TEST(CkptStore, EmptyDirectoryLoadsNothing) {
-  hcs::ckpt::Store store({fresh_dir("empty")});
+  hcs::ckpt::Store store(fresh_dir("empty"));
   EXPECT_FALSE(store.load_latest().has_value());
 }
 
 TEST(CkptStore, TornNewestFallsBackToPreviousGood) {
   const std::string dir = fresh_dir("torn");
-  hcs::ckpt::Store store({dir, /*keep=*/3});
+  hcs::ckpt::Store store(dir);
   for (std::uint64_t i = 1; i <= 3; ++i) {
     Json doc = Json::object();
     doc.set("i", i);
@@ -127,7 +126,7 @@ TEST(CkptStore, TornNewestFallsBackToPreviousGood) {
 
 TEST(CkptStore, RetentionCountsOnlyGoodSnapshots) {
   const std::string dir = fresh_dir("retention");
-  hcs::ckpt::Store store({dir, /*keep=*/3});
+  hcs::ckpt::Store store(dir);
   for (std::uint64_t i = 1; i <= 5; ++i) {
     Json doc = Json::object();
     doc.set("i", i);
@@ -157,16 +156,6 @@ TEST(CkptStore, RetentionCountsOnlyGoodSnapshots) {
   EXPECT_EQ(loaded->seq, 3u);
   EXPECT_EQ(loaded->doc.at("i").as_uint(), 3u);
   EXPECT_EQ(loaded->corrupt_skipped, 3u);
-}
-
-TEST(CkptStore, CommitHookFiresWithSequence) {
-  hcs::ckpt::Store store({fresh_dir("hook")});
-  std::uint64_t fired = 0;
-  store.set_commit_hook([&](std::uint64_t seq) { fired = seq; });
-  Json doc = Json::object();
-  doc.set("x", std::uint64_t{1});
-  ASSERT_EQ(store.commit(doc), 1u);
-  EXPECT_EQ(fired, 1u);
 }
 
 // --- SimOutcome round-trip -------------------------------------------
@@ -236,88 +225,6 @@ TEST(CkptOutcome, EnumNamesRoundTrip) {
   }
   hcs::sim::AbortReason unused;
   EXPECT_FALSE(hcs::ckpt::abort_reason_from_string("no-such", &unused));
-}
-
-// --- sweep-level resume ----------------------------------------------
-
-hcs::run::SweepSpec small_sweep() {
-  hcs::run::SweepSpec spec;
-  spec.strategies = {"CLEAN", "CLONING"};
-  spec.dimensions = {4, 5};
-  spec.seeds = {1, 2};
-  spec.engines = {hcs::sim::EngineKind::kEvent, hcs::sim::EngineKind::kAuto};
-  return spec;
-}
-
-TEST(CkptSweep, ResumeFromPartialSnapshotIsByteIdentical) {
-  const hcs::run::SweepSpec spec = small_sweep();
-  const hcs::run::SweepResult plain = hcs::run::SweepRunner().run(spec);
-
-  // Forge the state a killed run would leave behind: the first 5 cells
-  // committed, the rest missing.
-  const std::string dir = fresh_dir("sweep_resume");
-  const std::string fingerprint = hcs::run::sweep_spec_fingerprint(spec);
-  std::map<std::size_t, hcs::core::SimOutcome> done;
-  for (std::size_t i = 0; i < 5; ++i) {
-    done[i] = hcs::run::run_sweep_cell(spec, i).outcome;
-  }
-  hcs::ckpt::Store store({dir});
-  ASSERT_NE(store.commit(hcs::run::sweep_snapshot_json(spec, fingerprint,
-                                                       done)),
-            0u);
-
-  hcs::run::SweepRunner::Config config;
-  config.checkpoint_dir = dir;
-  config.checkpoint_every_cells = 3;
-  std::size_t commits = 0;
-  config.on_checkpoint = [&](std::uint64_t, std::size_t) { ++commits; };
-  const hcs::run::SweepResult resumed =
-      hcs::run::SweepRunner(config).run(spec);
-
-  EXPECT_EQ(resumed.resumed_cells, 5u);
-  EXPECT_GT(commits, 0u);
-  EXPECT_EQ(hcs::run::sweep_csv(resumed), hcs::run::sweep_csv(plain));
-  EXPECT_EQ(hcs::run::sweep_json(resumed), hcs::run::sweep_json(plain));
-}
-
-TEST(CkptSweep, SnapshotOfDifferentGridIsIgnored) {
-  const hcs::run::SweepSpec spec = small_sweep();
-  hcs::run::SweepSpec other = spec;
-  other.seeds = {7};
-
-  const std::string dir = fresh_dir("sweep_foreign");
-  std::map<std::size_t, hcs::core::SimOutcome> done;
-  done[0] = hcs::run::run_sweep_cell(other, 0).outcome;
-  hcs::ckpt::Store store({dir});
-  ASSERT_NE(store.commit(hcs::run::sweep_snapshot_json(
-                other, hcs::run::sweep_spec_fingerprint(other), done)),
-            0u);
-
-  hcs::run::SweepRunner::Config config;
-  config.checkpoint_dir = dir;
-  const hcs::run::SweepResult result = hcs::run::SweepRunner(config).run(spec);
-  EXPECT_EQ(result.resumed_cells, 0u);
-  EXPECT_EQ(hcs::run::sweep_csv(result),
-            hcs::run::sweep_csv(hcs::run::SweepRunner().run(spec)));
-}
-
-TEST(CkptSweep, SnapshotParserRejectsCorruptDocsGracefully) {
-  const hcs::run::SweepSpec spec = small_sweep();
-  const std::string fingerprint = hcs::run::sweep_spec_fingerprint(spec);
-  std::map<std::size_t, hcs::core::SimOutcome> done;
-  done[1] = hcs::run::run_sweep_cell(spec, 1).outcome;
-  Json doc = hcs::run::sweep_snapshot_json(spec, fingerprint, done);
-
-  std::map<std::size_t, hcs::core::SimOutcome> out;
-  std::string error;
-  EXPECT_TRUE(hcs::run::parse_sweep_snapshot(doc, fingerprint,
-                                             spec.num_cells(), &out, &error));
-  EXPECT_EQ(out.size(), 1u);
-
-  doc.set("cells", std::int64_t{-1});  // kInt: must fail, not abort
-  EXPECT_FALSE(hcs::run::parse_sweep_snapshot(doc, fingerprint,
-                                              spec.num_cells(), &out, &error));
-  EXPECT_FALSE(error.empty());
 }
 
 // --- degradation / abort reason through sweep CSV and JSON -----------
@@ -509,45 +416,6 @@ TEST(CkptFuzz, MissingEverythingIsADiagnosticNotAnAbort) {
   EXPECT_FALSE(hcs::fuzz::load_campaign_state(fresh_dir("fuzz_none"), &loaded,
                                               &error));
   EXPECT_FALSE(error.empty());
-}
-
-// --- committed pre-migration (legacy) artifacts ----------------------
-//
-// Run identity moved from per-subsystem ad-hoc fingerprints to
-// hcs::CellKey (core/cell_key.hpp). The pre-CellKey readers were kept one
-// release and are gone (DESIGN.md, "Deprecation policy"): a snapshot
-// written by the pre-CellKey tree must now be refused with a diagnostic,
-// never replayed and never aborted on. The fixture under
-// tests/data/legacy was generated by that tree -- regenerating it with
-// today's code would defeat the point of the test.
-
-TEST(CkptLegacy, PreCellKeySweepSnapshotIsRefused) {
-  const std::string dir = fresh_dir("legacy_sweep");
-  fs::copy(std::string(HCS_LEGACY_DATA_DIR) + "/sweep", dir,
-           fs::copy_options::recursive);
-  hcs::run::SweepSpec spec;
-  spec.strategies = {"CLEAN", "CLONING"};
-  spec.dimensions = {3, 4};
-  spec.seeds = {1, 2};
-
-  std::string error;
-  const std::optional<hcs::ckpt::LoadedSnapshot> snap =
-      hcs::ckpt::Store({dir}).load_latest(&error);
-  ASSERT_TRUE(snap.has_value()) << error;
-  std::map<std::size_t, hcs::core::SimOutcome> done;
-  EXPECT_FALSE(hcs::run::parse_sweep_snapshot(
-      snap->doc, hcs::run::sweep_spec_fingerprint(spec), spec.num_cells(),
-      &done, &error));
-  EXPECT_NE(error.find("fingerprint mismatch"), std::string::npos) << error;
-  EXPECT_TRUE(done.empty());
-
-  hcs::run::SweepRunner::Config config;
-  config.checkpoint_dir = dir;
-  const hcs::run::SweepResult resumed =
-      hcs::run::SweepRunner(config).run(spec);
-  EXPECT_EQ(resumed.resumed_cells, 0u);
-  EXPECT_EQ(hcs::run::sweep_json(resumed),
-            hcs::run::sweep_json(hcs::run::SweepRunner().run(spec)));
 }
 
 }  // namespace

@@ -1,83 +1,63 @@
-// The chaos-kill harness: SIGKILL the checkpointed sweep worker at
-// deterministic commit boundaries (and at randomized wall-clock points),
-// resume it, and require the final sweep CSV/JSON byte-identical to an
-// uninterrupted run's -- plus checksum detection of a deliberately
-// truncated snapshot, with recovery from the previous good one.
+// The chaos-kill harness: SIGKILL a fuzz campaign -- the one job that
+// checkpoints -- at randomized points, resume it until it reaches the
+// reference run's iteration count, and require manifest.json and every
+// art_*.json byte-identical to an uninterrupted run's; also truncate the
+// newest sealed snapshot of a partial campaign and require the loader to
+// fall back one batch, then resume to the same bytes.
 //
-// The subject process is tests/ckpt_chaos_worker.cpp (path injected via
-// HCS_CKPT_CHAOS_WORKER); it self-SIGKILLs inside the Nth snapshot commit
-// hook, so deterministic kill points are keyed to logical progress, never
-// to wall clock. Dimensions default to {10,11,12} and can be trimmed for
-// slow (sanitizer) builds with HCS_CHAOS_DIMS.
+// The subject is the real hcs_fuzz binary (path injected via
+// HCS_FUZZ_BINARY) on a known-bad campaign with a fixed seed: --expect
+// correct over fault workloads, so most cells fail and write artifacts.
+// Kill delays are fractions of the reference run's own wall time, so one
+// schedule fits a Release and a sanitizer build. Progress is read with
+// load_campaign_state (the sealed snapshot), never from the manifest.json
+// mirror, which is rewritten separately.
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/store.hpp"
+#include "fuzz/campaign.hpp"
 #include "gtest/gtest.h"
-#include "util/json.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string chaos_dims() {
-  const char* env = std::getenv("HCS_CHAOS_DIMS");
-  return env != nullptr && *env != '\0' ? env : "10,11,12";
-}
+constexpr std::uint64_t kIterations = 1024;
+const std::uint64_t kBatch = hcs::fuzz::CampaignConfig{}.batch_size;
 
-struct WorkerExit {
+struct Exit {
   bool signaled = false;
   int signal = 0;
-  int exit_code = -1;
+  int code = -1;
 };
 
-struct WorkerPaths {
-  std::string dir;     // snapshot store
-  std::string csv;
-  std::string json;
-  std::string status;
-};
-
-WorkerPaths paths_in(const std::string& root) {
-  return {root + "/snaps", root + "/sweep.csv", root + "/sweep.json",
-          root + "/status.json"};
-}
-
-/// Launches the worker; if kill_after_ms >= 0, SIGKILLs it from outside
-/// after that many milliseconds (the randomized-soak mode).
-WorkerExit run_worker(const WorkerPaths& paths, std::uint64_t kill_after_commits,
-                      int kill_after_ms = -1) {
-  const std::string worker = HCS_CKPT_CHAOS_WORKER;
-  std::vector<std::string> args = {
-      worker,
-      "--dir", paths.dir,
-      "--csv", paths.csv,
-      "--json", paths.json,
-      "--status", paths.status,
-      "--dims", chaos_dims(),
-      "--kill-after-commits", std::to_string(kill_after_commits),
-      "--checkpoint-every", "4",
-      "--threads", "2",
-  };
+/// Runs hcs_fuzz with `args` (stdout discarded: the campaign prints one
+/// line per failure); if kill_after_ms >= 0, SIGKILLs it from outside
+/// after that many milliseconds.
+Exit run_fuzz(std::vector<std::string> args, int kill_after_ms = -1) {
   std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
   for (std::string& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);
-
   const pid_t pid = fork();
   if (pid == 0) {
-    execv(worker.c_str(), argv.data());
+    const int devnull = open("/dev/null", O_WRONLY);
+    if (devnull >= 0) dup2(devnull, STDOUT_FILENO);
+    execv(HCS_FUZZ_BINARY, argv.data());
     _exit(127);
   }
   EXPECT_GT(pid, 0);
@@ -87,157 +67,145 @@ WorkerExit run_worker(const WorkerPaths& paths, std::uint64_t kill_after_commits
   }
   int status = 0;
   EXPECT_EQ(waitpid(pid, &status, 0), pid);
-  WorkerExit result;
+  Exit result;
   if (WIFSIGNALED(status)) {
     result.signaled = true;
     result.signal = WTERMSIG(status);
   } else if (WIFEXITED(status)) {
-    result.exit_code = WEXITSTATUS(status);
+    result.code = WEXITSTATUS(status);
   }
   return result;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+/// `run` starts the known-bad campaign; `resume` continues it. Minimizing
+/// is a CLI setting, not campaign state, so both verbs pass it.
+std::vector<std::string> fuzz_args(const std::string& verb,
+                                   const std::string& corpus,
+                                   std::uint64_t iterations) {
+  std::vector<std::string> args = {HCS_FUZZ_BINARY, verb, "--corpus", corpus,
+                                   "--iterations", std::to_string(iterations),
+                                   "--threads", "2", "--no-minimize"};
+  if (verb == "run") {
+    args.insert(args.end(), {"--seed", "5", "--expect", "correct",
+                             "--max-dim", "6"});
+  }
+  return args;
 }
 
-std::uint64_t status_field(const WorkerPaths& paths, const char* key) {
-  const std::optional<hcs::Json> doc = hcs::Json::parse(slurp(paths.status));
-  EXPECT_TRUE(doc.has_value());
-  const hcs::Json* field = doc->get(key);
-  EXPECT_NE(field, nullptr) << key;
-  return field->as_uint();
+/// Cells the sealed campaign state records as done; nullopt before the
+/// first batch commit.
+std::optional<std::uint64_t> progress(const std::string& corpus) {
+  hcs::fuzz::Manifest manifest;
+  if (!hcs::fuzz::load_campaign_state(corpus, &manifest)) return std::nullopt;
+  return manifest.iterations_done;
+}
+
+/// One attempt to finish the campaign: resume from the sealed state, or
+/// start afresh when no batch was committed yet.
+Exit advance(const std::string& corpus, int kill_after_ms = -1) {
+  const std::optional<std::uint64_t> done = progress(corpus);
+  return run_fuzz(done.has_value()
+                      ? fuzz_args("resume", corpus, kIterations - *done)
+                      : fuzz_args("run", corpus, kIterations),
+                  kill_after_ms);
+}
+
+/// manifest.json and every art_*.json, by name.
+std::map<std::string, std::string> corpus_files(const std::string& corpus) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(corpus)) {
+    const std::string name = entry.path().filename().string();
+    if (name != "manifest.json" &&
+        !(name.starts_with("art_") && name.ends_with(".json"))) {
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[name] = bytes.str();
+  }
+  return files;
 }
 
 std::string fresh_root(const std::string& name) {
   const std::string root = testing::TempDir() + "hcs_chaos_" + name;
   fs::remove_all(root);
-  fs::create_directories(root);
   return root;
 }
 
-/// The uninterrupted run every chaos scenario is compared against,
-/// computed once per suite.
+/// The uninterrupted campaign every scenario is compared against, run
+/// once per suite.
 class CkptChaosTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const WorkerPaths ref = paths_in(fresh_root("reference"));
-    const WorkerExit result = run_worker(ref, /*kill_after_commits=*/0);
+    const std::string corpus = fresh_root("reference");
+    const auto start = std::chrono::steady_clock::now();
+    const Exit result = run_fuzz(fuzz_args("run", corpus, kIterations));
+    reference_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
     ASSERT_FALSE(result.signaled);
-    ASSERT_EQ(result.exit_code, 0);
-    reference_csv_ = new std::string(slurp(ref.csv));
-    reference_json_ = new std::string(slurp(ref.json));
-    ASSERT_FALSE(reference_csv_->empty());
-    ASSERT_FALSE(reference_json_->empty());
+    ASSERT_EQ(result.code, 0);
+    ASSERT_EQ(progress(corpus), kIterations);
+    reference = corpus_files(corpus);
+    // The campaign is known-bad: it must have written artifacts.
+    ASSERT_GT(reference.size(), 1u);
   }
 
-  static const std::string& reference_csv() { return *reference_csv_; }
-  static const std::string& reference_json() { return *reference_json_; }
-
- private:
-  static std::string* reference_csv_;
-  static std::string* reference_json_;
+  static inline std::map<std::string, std::string> reference;
+  static inline double reference_ms = 0;
 };
 
-std::string* CkptChaosTest::reference_csv_ = nullptr;
-std::string* CkptChaosTest::reference_json_ = nullptr;
-
-/// Repeatedly runs the worker until it completes, expecting every run
-/// before the last to die by SIGKILL. Returns the number of attempts.
-int run_until_complete(const WorkerPaths& paths,
-                       std::uint64_t kill_after_commits, int max_attempts) {
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    const WorkerExit result = run_worker(paths, kill_after_commits);
-    if (!result.signaled) {
-      EXPECT_EQ(result.exit_code, 0);
-      return attempt;
-    }
-    EXPECT_EQ(result.signal, SIGKILL);
-  }
-  ADD_FAILURE() << "worker never completed in " << max_attempts
-                << " attempts";
-  return max_attempts;
-}
-
-TEST_F(CkptChaosTest, DeterministicKillsResumeByteIdentical) {
-  for (const std::uint64_t kill_after : {std::uint64_t{1}, std::uint64_t{2},
-                                         std::uint64_t{4}}) {
-    SCOPED_TRACE("kill after " + std::to_string(kill_after) + " commits");
-    const WorkerPaths paths =
-        paths_in(fresh_root("kill" + std::to_string(kill_after)));
-
-    // The first run must actually die mid-sweep, not finish.
-    const WorkerExit first = run_worker(paths, kill_after);
-    ASSERT_TRUE(first.signaled);
-    ASSERT_EQ(first.signal, SIGKILL);
-    ASSERT_FALSE(fs::exists(paths.csv));
-
-    run_until_complete(paths, kill_after, /*max_attempts=*/32);
-    EXPECT_EQ(slurp(paths.csv), reference_csv());
-    EXPECT_EQ(slurp(paths.json), reference_json());
-    // The completing run restored every cell it did not execute itself.
-    EXPECT_GT(status_field(paths, "resumed_cells"), 0u);
-    EXPECT_LE(status_field(paths, "resumed_cells"),
-              status_field(paths, "cells"));
-  }
-}
-
-TEST_F(CkptChaosTest, TruncatedSnapshotFallsBackToPreviousGood) {
-  const WorkerPaths paths = paths_in(fresh_root("truncated"));
-  const WorkerExit first = run_worker(paths, /*kill_after_commits=*/3);
-  ASSERT_TRUE(first.signaled);
-
-  // Tear the newest snapshot: chop bytes off its tail, invalidating the
-  // length/checksum footer. The restorer must detect it and fall back to
-  // the previous snapshot (one 4-cell chunk earlier).
-  std::string newest;
-  for (const fs::directory_entry& entry : fs::directory_iterator(paths.dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > newest.size() ||
-        (name.size() == newest.size() && name > newest)) {
-      newest = name;
-    }
-  }
-  ASSERT_FALSE(newest.empty());
-  const fs::path newest_path = fs::path(paths.dir) / newest;
-  const auto size = fs::file_size(newest_path);
-  ASSERT_GT(size, 64u);
-  fs::resize_file(newest_path, size - 40);
-
-  const WorkerExit resumed = run_worker(paths, /*kill_after_commits=*/0);
-  ASSERT_FALSE(resumed.signaled);
-  ASSERT_EQ(resumed.exit_code, 0);
-  EXPECT_EQ(slurp(paths.csv), reference_csv());
-  EXPECT_EQ(slurp(paths.json), reference_json());
-  // 3 commits * 4 cells/commit = 12 done; losing the newest snapshot
-  // leaves the 8-cell predecessor as the resume point.
-  EXPECT_EQ(status_field(paths, "resumed_cells"), 8u);
-}
-
-TEST_F(CkptChaosTest, RandomizedKillSoakResumesByteIdentical) {
-  const WorkerPaths paths = paths_in(fresh_root("soak"));
-  std::mt19937 rng(20260807u);  // fixed seed: reproducible soak schedule
-  std::uniform_int_distribution<int> delay_ms(5, 400);
-  for (int round = 0; round < 6; ++round) {
-    const WorkerExit result = run_worker(paths, /*kill_after_commits=*/0,
-                                         delay_ms(rng));
-    if (!result.signaled) {
-      // Finished before the external kill landed -- outputs must already
-      // be correct, and later rounds just re-verify resume-on-complete.
-      EXPECT_EQ(result.exit_code, 0);
-    } else {
+TEST_F(CkptChaosTest, RandomizedKillsResumeByteIdentical) {
+  const std::string corpus = fresh_root("kills");
+  std::mt19937 rng(20261020u);  // fixed seed: reproducible kill schedule
+  std::uniform_real_distribution<double> fraction(0.05, 0.45);
+  int kills = 0;
+  for (int attempt = 0; attempt < 12 && progress(corpus) != kIterations;
+       ++attempt) {
+    const Exit result =
+        advance(corpus, static_cast<int>(fraction(rng) * reference_ms));
+    if (result.signaled) {
       EXPECT_EQ(result.signal, SIGKILL);
+      ++kills;
+    } else {
+      EXPECT_EQ(result.code, 0);
     }
   }
-  const WorkerExit final_run = run_worker(paths, /*kill_after_commits=*/0);
-  ASSERT_FALSE(final_run.signaled);
-  ASSERT_EQ(final_run.exit_code, 0);
-  EXPECT_EQ(slurp(paths.csv), reference_csv());
-  EXPECT_EQ(slurp(paths.json), reference_json());
+  if (progress(corpus) != kIterations) {
+    const Exit result = advance(corpus);
+    ASSERT_FALSE(result.signaled);
+    ASSERT_EQ(result.code, 0);
+  }
+  EXPECT_GT(kills, 0) << "no attempt died before finishing";
+  EXPECT_EQ(progress(corpus), kIterations);
+  EXPECT_EQ(corpus_files(corpus), reference);
+}
+
+TEST_F(CkptChaosTest, TruncatedSnapshotFallsBackOneBatch) {
+  const std::string corpus = fresh_root("truncated");
+  const Exit partial = run_fuzz(fuzz_args("run", corpus, 3 * kBatch));
+  ASSERT_EQ(partial.code, 0);
+  ASSERT_EQ(progress(corpus), 3 * kBatch);
+
+  // Tear the newest snapshot: chopping its tail breaks the length and
+  // checksum footer.
+  const hcs::ckpt::Store store(corpus + "/ckpt");
+  const std::vector<std::uint64_t> seqs = store.list();
+  ASSERT_FALSE(seqs.empty());
+  const std::string newest = store.path_for(seqs.back());
+  fs::resize_file(newest, fs::file_size(newest) - 40);
+
+  const std::optional<hcs::ckpt::LoadedSnapshot> loaded = store.load_latest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->corrupt_skipped, 1u);
+  EXPECT_EQ(progress(corpus), 2 * kBatch);
+
+  const Exit resumed = advance(corpus);
+  ASSERT_FALSE(resumed.signaled);
+  ASSERT_EQ(resumed.code, 0);
+  EXPECT_EQ(progress(corpus), kIterations);
+  EXPECT_EQ(corpus_files(corpus), reference);
 }
 
 }  // namespace

@@ -114,6 +114,16 @@ TEST(FuzzCell, ZeroWidthUniformDelayIsRefusedWithADiagnostic) {
   EXPECT_NE(error.find("0 < lo < hi"), std::string::npos) << error;
 }
 
+TEST(FuzzCell, DimensionIsRangeCheckedBeforeNarrowing) {
+  // 2^32 + 4 narrowed to unsigned reads as 4, a valid dimension.
+  Json cell = known_bad_spec().to_json();
+  cell.set("dimension", std::uint64_t{4294967300});
+  CellSpec parsed;
+  std::string error;
+  EXPECT_FALSE(parse_cell_spec(cell, &parsed, &error));
+  EXPECT_NE(error.find("dimension out of range"), std::string::npos) << error;
+}
+
 TEST(FuzzCell, OutOfRangeFaultSpecIsRefusedWithADiagnostic) {
   // FaultSchedule requires every rate in [0, 1] and stall_factor >= 1, so
   // replaying these artifacts would abort; the loader must refuse them.
@@ -294,6 +304,58 @@ TEST(FuzzCampaign, GeneratorDrawsTheShardAxis) {
   }
   ASSERT_TRUE(parse_campaign_axes(legacy, &back, &error)) << error;
   EXPECT_FALSE(back.shard_oracle);
+}
+
+TEST(FuzzCampaign, AxesRefuseDimensionsACellCannotReplay) {
+  // 25 is past what parse_cell_spec replays; 2^32 + 3 narrowed to
+  // unsigned reads as 3, which the old check accepted.
+  const Json full = known_bad_manifest(1).axes.to_json();
+  for (const std::uint64_t max_dimension :
+       {std::uint64_t{25}, std::uint64_t{4294967299}}) {
+    Json axes = full;
+    axes.set("max_dimension", max_dimension);
+    CampaignAxes parsed;
+    std::string error;
+    EXPECT_FALSE(parse_campaign_axes(axes, &parsed, &error)) << max_dimension;
+    EXPECT_NE(error.find("1 <= min <= max <= 24"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(FuzzCampaign, UncreatableCorpusIsAnErrorNotAnAbort) {
+  // A directory under a regular file fails with ENOTDIR, even as root.
+  const fs::path dir = fresh_dir("hcs_fuzz_enotdir");
+  std::ofstream(dir / "file") << "x";
+  CampaignConfig config;
+  config.corpus_dir = (dir / "file" / "corpus").string();
+  const CampaignOutcome outcome =
+      CampaignRunner(config).run(known_bad_manifest(7), 6);
+  EXPECT_NE(outcome.error.find("cannot create"), std::string::npos)
+      << outcome.error;
+  EXPECT_EQ(outcome.cells_run, 0u);
+}
+
+TEST(FuzzCampaign, FailedArtifactWriteStopsBeforeTheManifest) {
+  CampaignConfig config;
+  config.minimize_failures = false;
+  config.corpus_dir = fresh_dir("hcs_fuzz_write_ok").string();
+  const CampaignOutcome clean =
+      CampaignRunner(config).run(known_bad_manifest(7), 6);
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+  ASSERT_FALSE(clean.manifest.corpus.empty());
+
+  // Block the first artifact's path with a directory: writing it fails
+  // even as root, and no manifest may then name it.
+  const fs::path blocked = fresh_dir("hcs_fuzz_write_blocked");
+  fs::create_directory(blocked /
+                       ("art_" + clean.manifest.corpus.front() + ".json"));
+  config.corpus_dir = blocked.string();
+  const CampaignOutcome outcome =
+      CampaignRunner(config).run(known_bad_manifest(7), 6);
+  EXPECT_NE(outcome.error.find("cannot write"), std::string::npos)
+      << outcome.error;
+  EXPECT_FALSE(fs::exists(blocked / "manifest.json"));
+  EXPECT_FALSE(fs::exists(blocked / "ckpt"));
 }
 
 TEST(FuzzManifest, RoundTripsByteIdentically) {

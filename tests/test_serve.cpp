@@ -64,9 +64,8 @@ bool wait_until(const std::function<bool()>& pred) {
 // --- CellKey -----------------------------------------------------------
 
 // The canonical form and hash are the cross-subsystem identity contract
-// (checkpoint fingerprints, sweep cells, fuzz artifact names, the server
-// cache). Changing either silently invalidates every stored artifact, so
-// both are pinned as goldens.
+// (fuzz artifact names, the server cache). Changing either silently
+// invalidates every stored artifact, so both are pinned as goldens.
 TEST(CellKey, GoldenCanonicalAndHash) {
   CellKey key;
   key.strategy = "CLEAN";
